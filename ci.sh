@@ -16,6 +16,14 @@ cargo test -q -p mobigrid-wireless
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
+
+echo "==> perfbench self-test"
+# perfbench is a workspace of its own, so --workspace does not build it;
+# this catches an API change that breaks the benchmark.
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -p mobigrid-bench --test zero_alloc"
 cargo test -p mobigrid-bench --test zero_alloc
 

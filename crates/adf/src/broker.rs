@@ -3,7 +3,7 @@ use mobigrid_forecast::{
 };
 use mobigrid_geo::Point;
 use mobigrid_telemetry::ApplyOutcome;
-use mobigrid_wireless::{LocationUpdate, MnId};
+use mobigrid_wireless::{IngestRecord, LocationUpdate, MnId};
 
 /// Which location estimator the broker runs for filtered nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -204,22 +204,25 @@ impl NodeSlot {
         RxOutcome::Accepted { fresh }
     }
 
-    /// Stores an estimate for a filtered update. Returns
-    /// `(estimate_stored, first_record)`.
-    fn note_filtered(&mut self, time_s: f64) -> (bool, bool) {
-        let Some(est) = &self.estimator else {
-            return (false, false);
-        };
-        let Some(position) = est.estimate(time_s) else {
-            return (false, false);
-        };
+    /// Stores an estimated belief. Returns whether it is the node's first
+    /// record.
+    fn store_estimate(&mut self, position: Point, time_s: f64) -> bool {
         let fresh = self.record.is_none();
         self.record = Some(LocationRecord {
             position,
             time_s,
             estimated: true,
         });
-        (true, fresh)
+        fresh
+    }
+
+    /// Stores an estimate for a filtered update. Returns
+    /// `(estimate_stored, first_record)`.
+    fn note_filtered(&mut self, time_s: f64) -> (bool, bool) {
+        match self.estimator.as_ref().and_then(|est| est.estimate(time_s)) {
+            Some(position) => (true, self.store_estimate(position, time_s)),
+            None => (false, false),
+        }
     }
 
     /// Stores a *degraded* estimate for an update the broker expected but
@@ -261,13 +264,7 @@ impl NodeSlot {
             }
             None => (extrapolated, 1.0),
         };
-        let fresh = self.record.is_none();
-        self.record = Some(LocationRecord {
-            position,
-            time_s,
-            estimated: true,
-        });
-        (true, fresh, blend)
+        (true, self.store_estimate(position, time_s), blend)
     }
 }
 
@@ -334,24 +331,48 @@ impl BrokerShard<'_> {
         self.slots.is_empty()
     }
 
-    fn slot_mut(&mut self, node: MnId) -> &mut NodeSlot {
-        let local = node
-            .index()
+    fn local(&self, node: MnId) -> usize {
+        node.index()
             .checked_sub(self.base)
             .filter(|i| *i < self.slots.len())
-            .expect("node id outside this broker shard");
+            .expect("node id outside this broker shard")
+    }
+
+    fn slot_mut(&mut self, node: MnId) -> &mut NodeSlot {
+        let local = self.local(node);
         &mut self.slots[local]
+    }
+
+    /// Applies one broker operation to its node's slot — the single place
+    /// an [`IngestRecord`] becomes a slot update. Returns what the broker
+    /// did, or `None` for the framing markers ([`IngestRecord::TickEnd`],
+    /// [`IngestRecord::BatchSpan`]), which touch no slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the op's node lies outside this shard.
+    // `#[inline]` down this chain keeps the delegating entry points
+    // (`GridBroker::apply`, the store's routing loop) as cheap per op as
+    // direct slot calls; without it the store's apply loop measured
+    // slower.
+    #[inline]
+    pub fn apply(&mut self, op: &IngestRecord) -> Option<ApplyInfo> {
+        Some(match op {
+            IngestRecord::Update(lu) => self.receive(lu),
+            IngestRecord::Filtered { node, time_s } => self.note_filtered(*node, *time_s),
+            IngestRecord::Lost { node, time_s } => self.note_lost(*node, *time_s),
+            IngestRecord::TickEnd { .. } | IngestRecord::BatchSpan { .. } => return None,
+        })
     }
 
     /// Ingests a received location update for a node in this shard.
     /// Duplicate and stale frames are counted as rejected, not received.
+    #[inline]
     pub fn receive(&mut self, lu: &LocationUpdate) -> ApplyInfo {
         let kind = self.kind;
-        let (rx, staleness) = {
-            let slot = self.slot_mut(lu.node);
-            let rx = slot.receive(kind, lu);
-            (rx, slot.staleness)
-        };
+        let slot = self.slot_mut(lu.node);
+        let rx = slot.receive(kind, lu);
+        let staleness = slot.staleness;
         let outcome = match rx {
             RxOutcome::Accepted { fresh } => {
                 self.delta.received += 1;
@@ -374,43 +395,48 @@ impl BrokerShard<'_> {
         }
     }
 
-    /// Notes a filtered update for a node in this shard: estimates and
-    /// stores its position, as [`GridBroker::note_filtered`] does.
-    pub fn note_filtered(&mut self, node: MnId, time_s: f64) -> ApplyInfo {
-        let slot = self.slot_mut(node);
-        let (estimated, fresh) = slot.note_filtered(time_s);
-        let staleness = slot.staleness;
+    /// Counts an estimate-or-nothing apply into the delta and reports it:
+    /// `hit` when an estimate was stored, [`ApplyOutcome::NoRecord`] when
+    /// not.
+    fn estimated(
+        &mut self,
+        (estimated, fresh): (bool, bool),
+        staleness: u32,
+        hit: ApplyOutcome,
+        blend: f64,
+    ) -> ApplyInfo {
         self.delta.estimated += u64::from(estimated);
         self.delta.fresh_records += u64::from(fresh);
         ApplyInfo {
             outcome: if estimated {
-                ApplyOutcome::Estimated
-            } else {
-                ApplyOutcome::NoRecord
-            },
-            staleness,
-            blend: 1.0,
-        }
-    }
-
-    /// Notes an update that was sent but never arrived: stores a degraded
-    /// estimate, as [`GridBroker::note_lost`] does.
-    pub fn note_lost(&mut self, node: MnId, time_s: f64) -> ApplyInfo {
-        let slot = self.slot_mut(node);
-        let (estimated, fresh, blend) = slot.note_lost(time_s);
-        let staleness = slot.staleness;
-        self.delta.lost += 1;
-        self.delta.estimated += u64::from(estimated);
-        self.delta.fresh_records += u64::from(fresh);
-        ApplyInfo {
-            outcome: if estimated {
-                ApplyOutcome::Degraded
+                hit
             } else {
                 ApplyOutcome::NoRecord
             },
             staleness,
             blend,
         }
+    }
+
+    /// Notes a filtered update for a node in this shard: estimates and
+    /// stores its position, as [`GridBroker::note_filtered`] does.
+    #[inline]
+    pub fn note_filtered(&mut self, node: MnId, time_s: f64) -> ApplyInfo {
+        let slot = self.slot_mut(node);
+        let stored = slot.note_filtered(time_s);
+        let staleness = slot.staleness;
+        self.estimated(stored, staleness, ApplyOutcome::Estimated, 1.0)
+    }
+
+    /// Notes an update that was sent but never arrived: stores a degraded
+    /// estimate, as [`GridBroker::note_lost`] does.
+    #[inline]
+    pub fn note_lost(&mut self, node: MnId, time_s: f64) -> ApplyInfo {
+        let slot = self.slot_mut(node);
+        let (estimated, fresh, blend) = slot.note_lost(time_s);
+        let staleness = slot.staleness;
+        self.delta.lost += 1;
+        self.estimated((estimated, fresh), staleness, ApplyOutcome::Degraded, blend)
     }
 
     /// Whether `node`'s estimator is provably *time-invariant*: its
@@ -422,12 +448,7 @@ impl BrokerShard<'_> {
     /// This is the safety gate for [`BrokerShard::replay_filtered`].
     #[must_use]
     pub fn estimator_is_static(&self, node: MnId) -> bool {
-        let local = node
-            .index()
-            .checked_sub(self.base)
-            .filter(|i| *i < self.slots.len())
-            .expect("node id outside this broker shard");
-        self.slots[local]
+        self.slots[self.local(node)]
             .estimator
             .as_ref()
             .is_none_or(|e| e.is_static())
@@ -444,30 +465,12 @@ impl BrokerShard<'_> {
     /// driver's idle-replay contract.
     pub fn replay_filtered(&mut self, node: MnId, time_s: f64, stored: Option<Point>) -> ApplyInfo {
         let slot = self.slot_mut(node);
-        let (estimated, fresh) = match stored {
-            Some(position) => {
-                let fresh = slot.record.is_none();
-                slot.record = Some(LocationRecord {
-                    position,
-                    time_s,
-                    estimated: true,
-                });
-                (true, fresh)
-            }
+        let stored = match stored {
+            Some(position) => (true, slot.store_estimate(position, time_s)),
             None => (false, false),
         };
         let staleness = slot.staleness;
-        self.delta.estimated += u64::from(estimated);
-        self.delta.fresh_records += u64::from(fresh);
-        ApplyInfo {
-            outcome: if estimated {
-                ApplyOutcome::Estimated
-            } else {
-                ApplyOutcome::NoRecord
-            },
-            staleness,
-            blend: 1.0,
-        }
+        self.estimated(stored, staleness, ApplyOutcome::Estimated, 1.0)
     }
 
     /// Number of nodes in this shard currently marked stale (at least one
@@ -485,12 +488,7 @@ impl BrokerShard<'_> {
     /// no map lookup.
     #[must_use]
     pub fn location(&self, node: MnId) -> Option<&LocationRecord> {
-        let local = node
-            .index()
-            .checked_sub(self.base)
-            .filter(|i| *i < self.slots.len())
-            .expect("node id outside this broker shard");
-        self.slots[local].record.as_ref()
+        self.slots[self.local(node)].record.as_ref()
     }
 
     /// Consumes the shard, yielding the counter changes it accumulated.
@@ -574,7 +572,7 @@ impl GridBroker {
     }
 
     /// Pre-sizes the dense slot storage for node indices `0..n`. Growing is
-    /// otherwise on demand; pre-sizing lets [`GridBroker::shard_views`]
+    /// otherwise on demand; pre-sizing lets [`GridBroker::shard_views_iter`]
     /// cover the whole population.
     pub fn ensure_nodes(&mut self, n: usize) {
         if self.slots.len() < n {
@@ -602,35 +600,49 @@ impl GridBroker {
         self.kind
     }
 
+    /// Applies one broker operation (see [`BrokerShard::apply`]) and
+    /// returns what the broker did, or `None` for a framing marker.
+    ///
+    /// [`IngestRecord::Update`] and [`IngestRecord::Lost`] grow the slot
+    /// storage to reach an unseen node; [`IngestRecord::Filtered`] for a
+    /// node never heard from is a no-op that grows nothing.
+    pub fn apply(&mut self, op: &IngestRecord) -> Option<ApplyInfo> {
+        self.apply_based(0, op)
+    }
+
+    /// [`GridBroker::apply`] for a broker whose slot `i` holds node
+    /// `base + i` — one shard of a [`BrokerStore`](crate::BrokerStore).
+    #[inline]
+    pub(crate) fn apply_based(&mut self, base: usize, op: &IngestRecord) -> Option<ApplyInfo> {
+        let local = op.node()?.index() - base;
+        if local >= self.slots.len() {
+            if let IngestRecord::Filtered { .. } = op {
+                return Some(ApplyInfo {
+                    outcome: ApplyOutcome::NoRecord,
+                    staleness: 0,
+                    blend: 1.0,
+                });
+            }
+            self.ensure_nodes(local + 1);
+        }
+        let mut shard = BrokerShard {
+            kind: self.kind,
+            base,
+            slots: &mut self.slots,
+            delta: BrokerDelta::default(),
+        };
+        let info = shard.apply(op);
+        let delta = shard.into_delta();
+        self.apply_delta(&delta);
+        info
+    }
+
     /// Ingests a received location update. Exact duplicates of the last
     /// accepted update and frames older than it (channel reorderings) are
     /// rejected and counted in [`GridBroker::rejected_count`].
     pub fn receive(&mut self, lu: &LocationUpdate) -> ApplyInfo {
-        self.ensure_nodes(lu.node.index() + 1);
-        let kind = self.kind;
-        let slot = &mut self.slots[lu.node.index()];
-        let rx = slot.receive(kind, lu);
-        let staleness = slot.staleness;
-        let outcome = match rx {
-            RxOutcome::Accepted { fresh } => {
-                self.received += 1;
-                self.live_records += usize::from(fresh);
-                ApplyOutcome::Accepted
-            }
-            RxOutcome::Duplicate => {
-                self.rejected += 1;
-                ApplyOutcome::Duplicate
-            }
-            RxOutcome::Stale => {
-                self.rejected += 1;
-                ApplyOutcome::Stale
-            }
-        };
-        ApplyInfo {
-            outcome,
-            staleness,
-            blend: 1.0,
-        }
+        self.apply(&IngestRecord::Update(*lu))
+            .expect("an update is a broker operation")
     }
 
     /// Notes that `node`'s update at `time_s` was filtered: estimates its
@@ -639,26 +651,8 @@ impl GridBroker {
     /// A node never heard from has no record and no estimator; the call is
     /// a no-op then (the broker cannot invent a location).
     pub fn note_filtered(&mut self, node: MnId, time_s: f64) -> ApplyInfo {
-        let Some(slot) = self.slots.get_mut(node.index()) else {
-            return ApplyInfo {
-                outcome: ApplyOutcome::NoRecord,
-                staleness: 0,
-                blend: 1.0,
-            };
-        };
-        let (estimated, fresh) = slot.note_filtered(time_s);
-        let staleness = slot.staleness;
-        self.estimated += u64::from(estimated);
-        self.live_records += usize::from(fresh);
-        ApplyInfo {
-            outcome: if estimated {
-                ApplyOutcome::Estimated
-            } else {
-                ApplyOutcome::NoRecord
-            },
-            staleness,
-            blend: 1.0,
-        }
+        self.apply(&IngestRecord::Filtered { node, time_s })
+            .expect("a filtered update is a broker operation")
     }
 
     /// Notes that `node`'s update at `time_s` was sent but never arrived
@@ -669,22 +663,8 @@ impl GridBroker {
     /// A node never heard from has no estimator; only the staleness
     /// bookkeeping happens then.
     pub fn note_lost(&mut self, node: MnId, time_s: f64) -> ApplyInfo {
-        self.ensure_nodes(node.index() + 1);
-        let slot = &mut self.slots[node.index()];
-        let (estimated, fresh, blend) = slot.note_lost(time_s);
-        let staleness = slot.staleness;
-        self.lost += 1;
-        self.estimated += u64::from(estimated);
-        self.live_records += usize::from(fresh);
-        ApplyInfo {
-            outcome: if estimated {
-                ApplyOutcome::Degraded
-            } else {
-                ApplyOutcome::NoRecord
-            },
-            staleness,
-            blend,
-        }
+        self.apply(&IngestRecord::Lost { node, time_s })
+            .expect("a lost update is a broker operation")
     }
 
     /// Consecutive losses since `node`'s last accepted update (zero for a
@@ -701,20 +681,11 @@ impl GridBroker {
     }
 
     /// Splits the broker's slots into contiguous shards of `shard_size`
-    /// nodes for a parallel region. Call [`GridBroker::ensure_nodes`] first
-    /// so the shards cover the whole population; merge each shard's
-    /// [`BrokerDelta`] back with [`GridBroker::apply_delta`] in shard order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard_size` is zero.
-    pub fn shard_views(&mut self, shard_size: usize) -> Vec<BrokerShard<'_>> {
-        self.shard_views_iter(shard_size).collect()
-    }
-
-    /// Iterator form of [`GridBroker::shard_views`]: yields the shards
-    /// lazily without collecting them into a `Vec`, so a caller zipping
+    /// nodes for a parallel region, yielded lazily so a caller zipping
     /// broker shards into larger per-shard jobs allocates nothing here.
+    /// Call [`GridBroker::ensure_nodes`] first so the shards cover the
+    /// whole population; merge each shard's [`BrokerDelta`] back with
+    /// [`GridBroker::apply_delta`] in shard order.
     ///
     /// # Panics
     ///
@@ -991,7 +962,7 @@ mod tests {
     fn shard_views_partition_the_population() {
         let mut b = GridBroker::new(EstimatorKind::WithoutLe).unwrap();
         b.ensure_nodes(10);
-        let shards = b.shard_views(4);
+        let shards = b.shard_views_iter(4).collect::<Vec<_>>();
         assert_eq!(shards.len(), 3);
         assert_eq!(
             shards.iter().map(BrokerShard::len).collect::<Vec<_>>(),
@@ -1017,7 +988,7 @@ mod tests {
         seq.note_filtered(MnId::new(2), 5.0);
 
         {
-            let mut shards = sharded.shard_views(4);
+            let mut shards = sharded.shard_views_iter(4).collect::<Vec<_>>();
             for t in 0..5 {
                 for node in 0..6u32 {
                     let shard = &mut shards[node as usize / 4];
@@ -1130,7 +1101,7 @@ mod tests {
         seq.note_lost(MnId::new(3), 3.0);
 
         {
-            let mut shards = sharded.shard_views(2);
+            let mut shards = sharded.shard_views_iter(2).collect::<Vec<_>>();
             for t in 0..3 {
                 for node in 0..4u32 {
                     let shard = &mut shards[node as usize / 2];
@@ -1191,7 +1162,7 @@ mod tests {
         // Shard views report the same ApplyInfo shape.
         let mut sb = GridBroker::new(EstimatorKind::DeadReckoning).unwrap();
         sb.ensure_nodes(2);
-        let mut shards = sb.shard_views(2);
+        let mut shards = sb.shard_views_iter(2).collect::<Vec<_>>();
         check(shards[0].receive(&lu(0, 0.0, 0.0, 0.0)), ApplyOutcome::Accepted, 0);
         check(shards[0].receive(&lu(0, 1.0, 1.0, 0.0)), ApplyOutcome::Accepted, 0);
         check(shards[0].note_lost(MnId::new(0), 2.0), ApplyOutcome::Degraded, 1);
@@ -1214,7 +1185,7 @@ mod tests {
 
         // Capture the cacheable evaluation from a full note_filtered.
         let stored = {
-            let mut shards = live.shard_views(2);
+            let mut shards = live.shard_views_iter(2).collect::<Vec<_>>();
             assert!(shards[0].estimator_is_static(node));
             let info = shards[0].note_filtered(node, 2.0);
             assert_eq!(info.outcome, ApplyOutcome::Estimated);
@@ -1229,11 +1200,11 @@ mod tests {
         // Dense side: two more live evaluations. Sparse side: one live
         // (to create the cache point) then replays.
         for t in [2.0, 3.0, 4.0] {
-            let mut shards = live.shard_views(2);
+            let mut shards = live.shard_views_iter(2).collect::<Vec<_>>();
             if t > 2.0 {
                 shards[0].note_filtered(node, t);
             }
-            let mut r = replayed.shard_views(2);
+            let mut r = replayed.shard_views_iter(2).collect::<Vec<_>>();
             if t == 2.0 {
                 r[0].note_filtered(node, t);
             } else {
@@ -1257,7 +1228,7 @@ mod tests {
         // A never-heard-from node: static (no estimator), and replaying
         // its NoRecord evaluation changes nothing.
         let ghost = MnId::new(1);
-        let mut r = replayed.shard_views(2);
+        let mut r = replayed.shard_views_iter(2).collect::<Vec<_>>();
         assert!(r[0].estimator_is_static(ghost));
         let info = r[0].replay_filtered(ghost, 5.0, None);
         assert_eq!(info.outcome, ApplyOutcome::NoRecord);
@@ -1272,7 +1243,7 @@ mod tests {
         for t in 0..10 {
             b.receive(&lu(0, f64::from(t), 2.0 * f64::from(t), 0.0));
         }
-        let shards = b.shard_views(1);
+        let shards = b.shard_views_iter(1).collect::<Vec<_>>();
         assert!(!shards[0].estimator_is_static(MnId::new(0)));
     }
 
@@ -1281,7 +1252,7 @@ mod tests {
     fn shard_rejects_foreign_node() {
         let mut b = GridBroker::new(EstimatorKind::WithoutLe).unwrap();
         b.ensure_nodes(8);
-        let mut shards = b.shard_views(4);
+        let mut shards = b.shard_views_iter(4).collect::<Vec<_>>();
         shards[0].receive(&lu(6, 0.0, 0.0, 0.0));
     }
 }

@@ -318,18 +318,18 @@ struct TickScratch {
     observations: Vec<(MnId, Point)>,
     /// One filter decision per observation, written by the policy.
     decisions: Vec<Decision>,
-    /// Per-node network outcome when an access network is attached.
+    /// Per-node outcome of the routing phase (2b), in both modes.
     link: Vec<LinkOutcome>,
     /// Sequence number each node transmitted with this tick (valid only
-    /// where `link` records a transmission; phase 2b owns `seqs` when a
-    /// network is attached and hands the used value to phase 3 here).
+    /// where `link` records a transmission; phase 2b owns `seqs` and hands
+    /// the used value to phase 3 here).
     sent_seq: Vec<u32>,
     /// Deferred frames that came due this tick, drained from the channel.
     late_lus: Vec<LocationUpdate>,
     /// Per-shard partial results of the fused apply/measure phase.
     outs: Vec<ShardOut>,
     /// Per-node apply fate for the invariant monitors, derived from the
-    /// decisions (no network) or the link outcomes (network attached).
+    /// link outcomes.
     fates: Vec<NodeFate>,
     /// Per-node with-LE staleness counters after the apply phase, read
     /// back from the broker for the staleness-consistency monitor.
@@ -355,8 +355,9 @@ impl TickScratch {
     }
 }
 
-/// Per-node outcome of the network phase, handed from the sequential
-/// routing phase (2b) to the sharded apply/measure phase (3+4).
+/// Per-node outcome of the routing phase (2b), handed to the sharded
+/// apply/measure phase (3+4) and the op-stream tap. Without a network a
+/// sent update is `Delivered` and a filtered one `Idle`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LinkOutcome {
     /// Nothing was transmitted for this node this tick.
@@ -370,6 +371,76 @@ enum LinkOutcome {
     /// true when the frame reached the air (lost or deferred in flight)
     /// and false when the node was out of coverage.
     Lost { transmitted: bool },
+}
+
+impl LinkOutcome {
+    /// Whether the node's update reached the air (delivered or lost in
+    /// flight). Every other outcome is the pure filtered/idle path, where
+    /// the broker estimates.
+    fn transmitted(self) -> bool {
+        matches!(
+            self,
+            LinkOutcome::Delivered { .. } | LinkOutcome::Lost { transmitted: true }
+        )
+    }
+
+    /// The node's apply fate for the invariant monitors.
+    fn fate(self) -> NodeFate {
+        match self {
+            LinkOutcome::Idle => NodeFate::Idle,
+            LinkOutcome::Delivered { .. } => NodeFate::Accepted,
+            LinkOutcome::Lost { transmitted: true } => NodeFate::LostInFlight,
+            LinkOutcome::Lost { transmitted: false } => NodeFate::NoCoverage,
+        }
+    }
+
+    /// The broker operations this outcome stands for, in apply order: an
+    /// [`IngestRecord::Update`] for a delivered frame (a second, identical
+    /// one for a channel duplicate), [`IngestRecord::Lost`] for a frame
+    /// lost in flight, and [`IngestRecord::Filtered`] for everything the
+    /// broker estimates through (suppressed, idle, out of coverage).
+    fn records(
+        self,
+        node: MnId,
+        time_s: f64,
+        pos: Point,
+        seq: u32,
+    ) -> (IngestRecord, Option<IngestRecord>) {
+        match self {
+            LinkOutcome::Delivered { duplicate } => {
+                let update = IngestRecord::Update(LocationUpdate::new(node, time_s, pos, seq));
+                (update, duplicate.then_some(update))
+            }
+            LinkOutcome::Lost { transmitted: true } => (IngestRecord::Lost { node, time_s }, None),
+            LinkOutcome::Idle | LinkOutcome::Lost { transmitted: false } => {
+                (IngestRecord::Filtered { node, time_s }, None)
+            }
+        }
+    }
+}
+
+/// Phase 2b's flow counts, read by the tick's stats, telemetry and
+/// invariant monitors.
+#[derive(Default)]
+struct RouteCounts {
+    retries: u32,
+    lost: u32,
+    late: u32,
+    /// Frames put on the air through a network (zero without one).
+    on_air: u64,
+    delivered: u32,
+    deferred: u32,
+    no_coverage: u32,
+}
+
+/// The sparse driver's wake counts for one tick, for the opt-in `wake.*`
+/// telemetry (all zero under the dense driver).
+#[derive(Default)]
+struct WakeTick {
+    woken: u64,
+    slept: u64,
+    refreshed: u64,
+    replays: u64,
 }
 
 /// Per-node retransmission state driven by the node's [`RetryPolicy`].
@@ -604,16 +675,10 @@ impl std::fmt::Debug for MobileGridSim {
 struct ShardJob<'a> {
     kinds: &'a [RegionKind],
     observations: &'a [(MnId, Point)],
-    decisions: &'a [Decision],
-    /// Per-node network outcomes, present when a network is attached (the
-    /// routing phase then owns the sequence counters).
-    link: Option<&'a [LinkOutcome]>,
-    /// Sequence numbers each node transmitted with. With a network the
-    /// routing phase wrote them (valid where `link` records a
-    /// transmission); without one this shard owns `seqs` and writes the
-    /// used value back here for the seq-monotonicity monitor.
-    sent_seqs: &'a mut [u32],
-    seqs: &'a mut [u32],
+    link: &'a [LinkOutcome],
+    /// Sequence numbers each node transmitted with (valid where `link`
+    /// records a transmission).
+    sent_seqs: &'a [u32],
     le: BrokerShard<'a>,
     raw: BrokerShard<'a>,
     /// Sparse-driver context (idle caches, refresh flags, eval clocks for
@@ -676,6 +741,50 @@ struct ShardOut {
     replays: u64,
     /// Sparse driver: largest full-evaluation gap observed in this shard.
     max_eval_gap: u64,
+}
+
+impl ShardOut {
+    fn new() -> Self {
+        ShardOut {
+            sent: 0,
+            stale: 0,
+            tally: RegionTally::new(),
+            all_le: Rmse::new(),
+            all_raw: Rmse::new(),
+            road_le: Rmse::new(),
+            road_raw: Rmse::new(),
+            bld_le: Rmse::new(),
+            bld_raw: Rmse::new(),
+            le_delta: BrokerDelta::default(),
+            raw_delta: BrokerDelta::default(),
+            err_le: HistogramDelta::new(error_bucket_spec()),
+            err_raw: HistogramDelta::new(error_bucket_spec()),
+            flight: Vec::new(),
+            newly_cached: Vec::new(),
+            replays: 0,
+            max_eval_gap: 0,
+        }
+    }
+
+    /// Folds the next shard's tick totals into this running total (the
+    /// histograms only while recording). Called in shard order, which
+    /// fixes the floating-point summation order of the RMSE partials.
+    fn merge(&mut self, other: &ShardOut, recording: bool) {
+        self.sent += other.sent;
+        self.stale += other.stale;
+        self.tally.merge(&other.tally);
+        self.all_le.merge(&other.all_le);
+        self.all_raw.merge(&other.all_raw);
+        self.road_le.merge(&other.road_le);
+        self.road_raw.merge(&other.road_raw);
+        self.bld_le.merge(&other.bld_le);
+        self.bld_raw.merge(&other.bld_raw);
+        if recording {
+            self.err_le.merge(&other.err_le);
+            self.err_raw.merge(&other.err_raw);
+        }
+        self.replays += other.replays;
+    }
 }
 
 impl MobileGridSim {
@@ -800,16 +909,22 @@ impl MobileGridSim {
 
     /// Executes one tick and returns its statistics.
     ///
-    /// The tick runs in four phases. Ground-truth advancement (1) and the
-    /// fused deliver/estimate/measure phase (3+4) run shard-parallel over
-    /// fixed `SHARD_SIZE`-node slices; filtering (2) and network routing
-    /// (2b) stay sequential — the ADF clusters across the whole population
-    /// and the access network is a single shared resource with ordered
-    /// accounting. Phase 2b also drains the fault channel's deferred
-    /// frames and drives each node's retry schedule; fault fates are pure
-    /// hashes of the event identity, never of scheduling. Every per-shard
-    /// partial is reduced in shard order, so the returned [`TickStats`]
-    /// stream is bit-identical for every thread count.
+    /// The tick runs in four phases, one method each: ground-truth
+    /// advancement (1, `observe`), filtering (2, `filter`), routing (2b,
+    /// `route`) and the fused deliver/estimate/measure phase (3+4,
+    /// `apply_measure`), followed by the telemetry and monitor tail.
+    /// Phases 1 and 3+4 run shard-parallel over fixed `SHARD_SIZE`-node
+    /// slices; filtering and routing stay sequential — the ADF clusters
+    /// across the whole population and the access network is a single
+    /// shared resource with ordered accounting. Routing owns the wire
+    /// sequence counters and hands phase 3+4 one `LinkOutcome` per node,
+    /// with or without a network; it also drains the fault channel's
+    /// deferred frames and drives each node's retry schedule (fault fates
+    /// are pure hashes of the event identity, never of scheduling). Phase
+    /// 3+4 turns each outcome into broker ops applied through the one
+    /// broker applier ([`BrokerShard::apply`]). Every per-shard partial is
+    /// reduced in shard order, so the returned [`TickStats`] stream is
+    /// bit-identical for every thread count.
     ///
     /// Every phase works in the reusable [`TickScratch`] buffers, so in
     /// steady state (with a single worker thread) a tick performs **zero
@@ -837,19 +952,21 @@ impl MobileGridSim {
     ///   (mobility class, velocity cluster or `-1`, DTH in force);
     /// - `lu_decision` — sent or suppressed, with the measured
     ///   displacement against the DTH;
-    /// - `lu_channel` — one per frame on the air (first sends, retries
-    ///   and late arrivals), with wire seq, attempt and fate (delivered,
-    ///   duplicate, deferred with its due tick, arrived-late, dropped by
-    ///   cause);
+    /// - `lu_channel` — one per frame on the air through a network (first
+    ///   sends, retries and late arrivals), with wire seq, attempt and
+    ///   fate (delivered, duplicate, deferred with its due tick,
+    ///   arrived-late, dropped by cause);
     /// - `lu_apply` — the with-LE broker's verdict (accepted, duplicate,
     ///   stale, estimated, degraded) with the node's staleness counter
     ///   and trust-blend weight;
     /// - `lu_error` — both brokers' location error against ground truth.
     ///
-    /// Alongside the chain each tick emits **spans** for the four phases,
-    /// `staleness` transition and `invariant_violation` events,
-    /// **counters** mirroring [`TickStats`] plus the flow-conservation
-    /// quantities (`sim.filter_sent`, `sim.suppressed`, `sim.delivered`,
+    /// Alongside the chain each tick emits one **span** per phase —
+    /// `Observe`, `Filter`, `Transmit`, `Estimate`, always in that order
+    /// and at the phase-method boundaries — plus `staleness` transition
+    /// and `invariant_violation` events, **counters** mirroring
+    /// [`TickStats`] plus the flow-conservation quantities
+    /// (`sim.filter_sent`, `sim.suppressed`, `sim.delivered`,
     /// `sim.deferred`, `sim.no_coverage`, `sim.invariant_violations`),
     /// **gauges** for the instantaneous values, and the two per-node
     /// location-error **histograms** over the fixed [`error_bucket_spec`]
@@ -862,82 +979,96 @@ impl MobileGridSim {
     ///
     /// [`step`]: MobileGridSim::step
     pub fn step_recorded(&mut self, rec: &mut dyn Recorder) -> TickStats {
-        let recording = rec.enabled();
         self.tick += 1;
         rec.tick_start(self.tick);
         let time_s = self.tick as f64 * self.dt;
-        let dt = self.dt;
-        let scratch = &mut self.scratch;
+        let mut wake = self.observe(time_s);
+        rec.span(Phase::Observe, self.scratch.observations.len() as u64);
+        let filter_sent = self.filter(time_s, rec);
+        rec.span(Phase::Filter, self.scratch.decisions.len() as u64);
+        let route = self.route(time_s, rec);
+        rec.span(Phase::Transmit, route.on_air);
+        let total = self.apply_measure(time_s, rec, &mut wake);
+        rec.span(Phase::Estimate, self.scratch.observations.len() as u64);
+        self.tail(time_s, rec, filter_sent, &route, &total, &wake)
+    }
 
-        // 1. Advance ground truth — the columnar movement kernel, shard-
-        //    parallel, each shard sweeping disjoint slices of the engine /
-        //    RNG / position columns and writing its observations into a
-        //    disjoint slice of the flat buffer. Each node owns its RNG
-        //    state, so per-node trajectories are independent of scheduling.
-        //
-        //    Sparse driver: due mobility wakes fire first (replaying each
-        //    woken node's skipped no-op ticks), the kernel then skips
-        //    still-asleep nodes — their position and observation slots are
-        //    provably bit-unchanged — and newly quiescent nodes are filed
-        //    into the wake wheel in shard order.
-        let mut woken_now = 0u64;
-        let mut slept_now = 0u64;
-        match self.sparse.as_deref_mut() {
-            None => self.pool.for_each(
+    /// Phase 1: advances ground truth — the columnar movement kernel,
+    /// shard-parallel, each shard sweeping disjoint slices of the engine /
+    /// RNG / position columns and writing its observations into a
+    /// disjoint slice of the flat buffer. Each node owns its RNG state, so
+    /// per-node trajectories are independent of scheduling.
+    ///
+    /// Sparse driver: due mobility wakes fire first (replaying each woken
+    /// node's skipped no-op ticks), the kernel then skips still-asleep
+    /// nodes — their position and observation slots are provably
+    /// bit-unchanged — and newly quiescent nodes are filed into the wake
+    /// wheel in shard order.
+    fn observe(&mut self, time_s: f64) -> WakeTick {
+        let dt = self.dt;
+        let observations = &mut self.scratch.observations;
+        let Some(sp) = self.sparse.as_deref_mut() else {
+            self.pool.for_each(
                 self.cols
                     .movement_shards(SHARD_SIZE)
-                    .zip(scratch.observations.chunks_mut(SHARD_SIZE)),
+                    .zip(observations.chunks_mut(SHARD_SIZE)),
                 |i, (shard, obs)| shard.advance(i * SHARD_SIZE, time_s, dt, obs),
-            ),
-            Some(sp) => {
-                sp.woken.clear();
-                sp.woken.extend_from_slice(sp.mobility.advance(self.tick));
-                for &node in &sp.woken {
-                    let i = node as usize;
-                    debug_assert!(sp.asleep[i], "a wake fired for an awake node");
-                    let skipped = self.tick - sp.slept_at[i] - 1;
-                    if skipped > 0 {
-                        self.cols.replay_quiescent(i, skipped, dt);
-                    }
-                    sp.asleep[i] = false;
-                }
-                sp.asleep_count -= sp.woken.len();
-                woken_now = sp.woken.len() as u64;
-                sp.wake_mobility += woken_now;
-                slept_now = sp.asleep_count as u64;
-                sp.slept_node_ticks += slept_now;
+            );
+            return WakeTick::default();
+        };
+        sp.woken.clear();
+        sp.woken.extend_from_slice(sp.mobility.advance(self.tick));
+        for &node in &sp.woken {
+            let i = node as usize;
+            debug_assert!(sp.asleep[i], "a wake fired for an awake node");
+            let skipped = self.tick - sp.slept_at[i] - 1;
+            if skipped > 0 {
+                self.cols.replay_quiescent(i, skipped, dt);
+            }
+            sp.asleep[i] = false;
+        }
+        sp.asleep_count -= sp.woken.len();
+        let wake = WakeTick {
+            woken: sp.woken.len() as u64,
+            slept: sp.asleep_count as u64,
+            ..WakeTick::default()
+        };
+        sp.wake_mobility += wake.woken;
+        sp.slept_node_ticks += wake.slept;
 
-                let shards = self
-                    .cols
-                    .movement_shards(SHARD_SIZE)
-                    .zip(scratch.observations.chunks_mut(SHARD_SIZE))
-                    .zip(sp.asleep.chunks(SHARD_SIZE));
-                self.pool
-                    .run_into(shards, &mut sp.newly_asleep, |i, ((shard, obs), asleep)| {
-                        shard.advance_sparse(i * SHARD_SIZE, time_s, dt, obs, asleep)
-                    });
-                // File new sleepers in shard order — the schedule history,
-                // and therefore every future drain order, stays a pure
-                // function of the simulation, never of thread scheduling.
-                for list in &sp.newly_asleep {
-                    for &(node, ticks) in list {
-                        let i = node as usize;
-                        sp.asleep[i] = true;
-                        sp.slept_at[i] = self.tick;
-                        sp.asleep_count += 1;
-                        if ticks != u64::MAX {
-                            sp.mobility.schedule(node, self.tick + ticks + 1);
-                        }
-                    }
+        let shards = self
+            .cols
+            .movement_shards(SHARD_SIZE)
+            .zip(observations.chunks_mut(SHARD_SIZE))
+            .zip(sp.asleep.chunks(SHARD_SIZE));
+        self.pool
+            .run_into(shards, &mut sp.newly_asleep, |i, ((shard, obs), asleep)| {
+                shard.advance_sparse(i * SHARD_SIZE, time_s, dt, obs, asleep)
+            });
+        // File new sleepers in shard order — the schedule history, and
+        // therefore every future drain order, stays a pure function of the
+        // simulation, never of thread scheduling.
+        for list in &sp.newly_asleep {
+            for &(node, ticks) in list {
+                let i = node as usize;
+                sp.asleep[i] = true;
+                sp.slept_at[i] = self.tick;
+                sp.asleep_count += 1;
+                if ticks != u64::MAX {
+                    sp.mobility.schedule(node, self.tick + ticks + 1);
                 }
             }
         }
+        wake
+    }
 
-        rec.span(Phase::Observe, scratch.observations.len() as u64);
-
-        // 2. Filter — sequential: the ADF clusters across all nodes. The
-        //    sparse driver passes its sleep mask so the policy can take
-        //    its own (bit-identical) replay path for frozen nodes.
+    /// Phase 2: filters — sequential, the ADF clusters across all nodes.
+    /// The sparse driver passes its sleep mask so the policy can take its
+    /// own (bit-identical) replay path for frozen nodes. Emits the
+    /// generation/classification/decision events and returns how many
+    /// updates the filter let through.
+    fn filter(&mut self, time_s: f64, rec: &mut dyn Recorder) -> u32 {
+        let scratch = &mut self.scratch;
         match self.sparse.as_deref() {
             None => {
                 self.policy
@@ -956,12 +1087,11 @@ impl MobileGridSim {
         for decision in &scratch.decisions {
             filter_sent += u32::from(decision.is_sent());
         }
-        let suppressed = scratch.decisions.len() as u32 - filter_sent;
-        // An update's flight-recorder identity is (node, generation tick):
-        // stable across retries and deferrals, unlike the wire seq which
-        // advances once per frame on the air.
-        let gen_seq = self.tick as u32;
-        if recording {
+        if rec.enabled() {
+            // An update's flight-recorder identity is (node, generation
+            // tick): stable across retries and deferrals, unlike the wire
+            // seq which advances once per frame on the air.
+            let gen_seq = self.tick as u32;
             for ((id, pos), decision) in scratch.observations.iter().zip(&scratch.decisions) {
                 rec.event(EventKind::LuGenerated {
                     node: id.raw(),
@@ -986,7 +1116,10 @@ impl MobileGridSim {
                     }
                 }
                 let (displacement, dth) = probe.map_or((f64::NAN, f64::NAN), |p| {
-                    (p.displacement.unwrap_or(f64::NAN), p.dth.unwrap_or(f64::NAN))
+                    (
+                        p.displacement.unwrap_or(f64::NAN),
+                        p.dth.unwrap_or(f64::NAN),
+                    )
                 });
                 rec.event(EventKind::LuDecision {
                     node: id.raw(),
@@ -997,317 +1130,276 @@ impl MobileGridSim {
                 });
             }
         }
-        rec.span(Phase::Filter, scratch.decisions.len() as u64);
+        filter_sent
+    }
 
-        // 2b. Route transmitted updates through the access network (and the
-        //     fault channel, when one is attached), in node order. When a
-        //     network is present this phase owns the sequence counters: it
-        //     advances them and records the used value in `sent_seq` so
-        //     phase 3 can rebuild the identical update. Retry-due nodes
-        //     retransmit here even when the filter said nothing new.
-        let mut retries = 0u32;
-        let mut lost = 0u32;
-        let mut late = 0u32;
-        let mut on_air = 0u64;
-        let mut delivered = 0u32;
-        let mut deferred = 0u32;
-        let mut no_coverage = 0u32;
+    /// Phase 2b: decides every node's [`LinkOutcome`] in node order,
+    /// advancing the wire sequence counters and recording each used value
+    /// in `sent_seq` so phase 3 can rebuild the identical update.
+    ///
+    /// Without a network every sent update is delivered directly. With
+    /// one, transmitted updates route through the access network (and the
+    /// fault channel, when one is attached); retry-due nodes retransmit
+    /// even when the filter said nothing new, and deferred frames that
+    /// came due reach the brokers first.
+    fn route(&mut self, time_s: f64, rec: &mut dyn Recorder) -> RouteCounts {
+        let recording = rec.enabled();
+        let gen_seq = self.tick as u32;
+        let scratch = &mut self.scratch;
+        let mut c = RouteCounts::default();
         scratch.late_accepted.fill(false);
-        let routed = if let Some(net) = self.network.as_mut() {
-            // Deferred frames due now reach the brokers before anything
-            // sent this tick, so their (older) timestamps stay in order.
-            if let Some(ch) = self.channel.as_mut() {
-                scratch.late_lus.clear();
-                ch.drain_due(self.tick, &mut scratch.late_lus);
-                for lu in &scratch.late_lus {
-                    let info = self.broker_le.receive(lu);
-                    self.broker_raw.receive(lu);
-                    // A late arrival touches the node's estimator (or at
-                    // least its dedup state): its idle-replay cache, if
-                    // any, is no longer safe to replay.
-                    if let Some(sp) = self.sparse.as_deref_mut() {
-                        sp.idle[lu.node.index()].valid = false;
+        match self.network.as_mut() {
+            None => {
+                for ((((decision, out), fate), seq), sent_seq) in scratch
+                    .decisions
+                    .iter()
+                    .zip(scratch.link.iter_mut())
+                    .zip(scratch.fates.iter_mut())
+                    .zip(self.seqs.iter_mut())
+                    .zip(scratch.sent_seq.iter_mut())
+                {
+                    let sent = decision.is_sent();
+                    // Written unconditionally (branch-free): `sent_seq` is
+                    // only read where the node transmitted.
+                    *sent_seq = *seq;
+                    *seq = seq.wrapping_add(u32::from(sent));
+                    c.delivered += u32::from(sent);
+                    *out = if sent {
+                        LinkOutcome::Delivered { duplicate: false }
+                    } else {
+                        LinkOutcome::Idle
+                    };
+                    *fate = out.fate();
+                }
+            }
+            Some(net) => {
+                // Deferred frames due now reach the brokers before anything
+                // sent this tick, so their (older) timestamps stay in order.
+                if let Some(ch) = self.channel.as_mut() {
+                    scratch.late_lus.clear();
+                    ch.drain_due(self.tick, &mut scratch.late_lus);
+                    for lu in &scratch.late_lus {
+                        let info = self.broker_le.receive(lu);
+                        self.broker_raw.receive(lu);
+                        // A late arrival touches the node's estimator (or
+                        // at least its dedup state): its idle-replay
+                        // cache, if any, is no longer safe to replay.
+                        if let Some(sp) = self.sparse.as_deref_mut() {
+                            sp.idle[lu.node.index()].valid = false;
+                        }
+                        if info.outcome == ApplyOutcome::Accepted {
+                            // Resets the node's staleness baseline before
+                            // the apply phase runs — the staleness monitor
+                            // needs to know.
+                            scratch.late_accepted[lu.node.index()] = true;
+                        }
+                        if recording {
+                            // A deferred frame keeps its generation-tick
+                            // identity: recover it from the timestamp.
+                            let seq = (lu.time_s / self.dt).round() as u32;
+                            rec.event(EventKind::LuChannel {
+                                node: lu.node.raw(),
+                                seq,
+                                wire_seq: lu.seq,
+                                attempt: 0,
+                                fate: LinkFate::ArrivedLate,
+                                due_tick: self.tick,
+                            });
+                            rec.event(EventKind::LuApply {
+                                node: lu.node.raw(),
+                                seq,
+                                outcome: info.outcome,
+                                staleness: info.staleness,
+                                blend: info.blend,
+                            });
+                        }
                     }
-                    if info.outcome == ApplyOutcome::Accepted {
-                        // Resets the node's staleness baseline before the
-                        // apply phase runs — the staleness monitor needs
-                        // to know.
-                        scratch.late_accepted[lu.node.index()] = true;
+                    c.late = scratch.late_lus.len() as u32;
+                }
+                for (i, (((id, pos), decision), out)) in scratch
+                    .observations
+                    .iter()
+                    .zip(&scratch.decisions)
+                    .zip(scratch.link.iter_mut())
+                    .enumerate()
+                {
+                    let state = &mut self.retry[i];
+                    let retry_due = state.due_tick <= self.tick;
+                    if !(matches!(decision, Decision::Sent) || retry_due) {
+                        *out = LinkOutcome::Idle;
+                        continue;
+                    }
+                    let attempt = state.attempt;
+                    let seq = self.seqs[i];
+                    self.seqs[i] = seq.wrapping_add(1);
+                    scratch.sent_seq[i] = seq;
+                    c.retries += u32::from(attempt > 0);
+                    let lu = LocationUpdate::new(*id, time_s, *pos, seq);
+                    let event = match self.channel.as_mut() {
+                        Some(ch) => ch.transmit(net, &lu, attempt, self.tick),
+                        None => match net.transmit(&lu) {
+                            Ok(gateway) => LinkEvent::Delivered {
+                                gateway,
+                                duplicate: false,
+                            },
+                            Err(_) => LinkEvent::Dropped {
+                                cause: DropCause::NoCoverage,
+                            },
+                        },
+                    };
+                    c.on_air += 1;
+                    let (fate, due) = match &event {
+                        LinkEvent::Delivered {
+                            duplicate: false, ..
+                        } => (LinkFate::Delivered, 0),
+                        LinkEvent::Delivered {
+                            duplicate: true, ..
+                        } => (LinkFate::DeliveredDuplicate, 0),
+                        LinkEvent::Deferred { due_tick, .. } => (LinkFate::Deferred, *due_tick),
+                        LinkEvent::Dropped {
+                            cause: DropCause::NoCoverage,
+                        } => (LinkFate::DroppedNoCoverage, 0),
+                        LinkEvent::Dropped {
+                            cause: DropCause::Fault,
+                        } => (LinkFate::DroppedFault, 0),
+                        LinkEvent::Dropped {
+                            cause: DropCause::Corrupted,
+                        } => (LinkFate::DroppedCorrupted, 0),
+                    };
+                    match fate {
+                        LinkFate::Delivered | LinkFate::DeliveredDuplicate => c.delivered += 1,
+                        LinkFate::Deferred => c.deferred += 1,
+                        LinkFate::DroppedNoCoverage => c.no_coverage += 1,
+                        _ => {}
                     }
                     if recording {
-                        // A deferred frame keeps its generation-tick
-                        // identity: recover it from the timestamp.
-                        let seq = (lu.time_s / dt).round() as u32;
                         rec.event(EventKind::LuChannel {
-                            node: lu.node.raw(),
-                            seq,
-                            wire_seq: lu.seq,
-                            attempt: 0,
-                            fate: LinkFate::ArrivedLate,
-                            due_tick: self.tick,
-                        });
-                        rec.event(EventKind::LuApply {
-                            node: lu.node.raw(),
-                            seq,
-                            outcome: info.outcome,
-                            staleness: info.staleness,
-                            blend: info.blend,
+                            node: id.raw(),
+                            seq: gen_seq,
+                            wire_seq: seq,
+                            attempt,
+                            fate,
+                            due_tick: due,
                         });
                     }
-                }
-                late = scratch.late_lus.len() as u32;
-            }
-            for (i, (((id, pos), decision), out)) in scratch
-                .observations
-                .iter()
-                .zip(&scratch.decisions)
-                .zip(scratch.link.iter_mut())
-                .enumerate()
-            {
-                let state = &mut self.retry[i];
-                let retry_due = state.due_tick <= self.tick;
-                if !(matches!(decision, Decision::Sent) || retry_due) {
-                    *out = LinkOutcome::Idle;
-                    continue;
-                }
-                let attempt = state.attempt;
-                let seq = self.seqs[i];
-                self.seqs[i] = seq.wrapping_add(1);
-                scratch.sent_seq[i] = seq;
-                retries += u32::from(attempt > 0);
-                let lu = LocationUpdate::new(*id, time_s, *pos, seq);
-                let event = match self.channel.as_mut() {
-                    Some(ch) => ch.transmit(net, &lu, attempt, self.tick),
-                    None => match net.transmit(&lu) {
-                        Ok(gateway) => LinkEvent::Delivered {
-                            gateway,
-                            duplicate: false,
-                        },
-                        Err(_) => LinkEvent::Dropped {
+                    *out = match event {
+                        LinkEvent::Delivered { duplicate, .. } => {
+                            *state = RetryState::IDLE;
+                            LinkOutcome::Delivered { duplicate }
+                        }
+                        LinkEvent::Deferred { .. } => {
+                            // In flight: it will arrive on its own, so the
+                            // sender does not retransmit, but the broker
+                            // misses it this tick.
+                            *state = RetryState::IDLE;
+                            c.lost += 1;
+                            LinkOutcome::Lost { transmitted: true }
+                        }
+                        LinkEvent::Dropped {
                             cause: DropCause::NoCoverage,
-                        },
-                    },
-                };
-                on_air += 1;
-                let (fate, due) = match &event {
-                    LinkEvent::Delivered {
-                        duplicate: false, ..
-                    } => (LinkFate::Delivered, 0),
-                    LinkEvent::Delivered {
-                        duplicate: true, ..
-                    } => (LinkFate::DeliveredDuplicate, 0),
-                    LinkEvent::Deferred { due_tick, .. } => (LinkFate::Deferred, *due_tick),
-                    LinkEvent::Dropped {
-                        cause: DropCause::NoCoverage,
-                    } => (LinkFate::DroppedNoCoverage, 0),
-                    LinkEvent::Dropped {
-                        cause: DropCause::Fault,
-                    } => (LinkFate::DroppedFault, 0),
-                    LinkEvent::Dropped {
-                        cause: DropCause::Corrupted,
-                    } => (LinkFate::DroppedCorrupted, 0),
-                };
-                match fate {
-                    LinkFate::Delivered | LinkFate::DeliveredDuplicate => delivered += 1,
-                    LinkFate::Deferred => deferred += 1,
-                    LinkFate::DroppedNoCoverage => no_coverage += 1,
-                    _ => {}
-                }
-                if recording {
-                    rec.event(EventKind::LuChannel {
-                        node: id.raw(),
-                        seq: gen_seq,
-                        wire_seq: seq,
-                        attempt,
-                        fate,
-                        due_tick: due,
-                    });
-                }
-                *out = match event {
-                    LinkEvent::Delivered { duplicate, .. } => {
-                        *state = RetryState::IDLE;
-                        LinkOutcome::Delivered { duplicate }
-                    }
-                    LinkEvent::Deferred { .. } => {
-                        // In flight: it will arrive on its own, so the
-                        // sender does not retransmit, but the broker misses
-                        // it this tick.
-                        *state = RetryState::IDLE;
-                        lost += 1;
-                        LinkOutcome::Lost { transmitted: true }
-                    }
-                    LinkEvent::Dropped {
-                        cause: DropCause::NoCoverage,
-                    } => {
-                        *state = RetryState::IDLE;
-                        LinkOutcome::Lost { transmitted: false }
-                    }
-                    LinkEvent::Dropped { .. } => {
-                        lost += 1;
-                        *state = match self.retry_policies[i] {
-                            Some(policy) if attempt < policy.max_retries => {
-                                let next = attempt + 1;
-                                let noise = event_noise(
-                                    self.channel.as_ref().map_or(0, FaultChannel::seed),
-                                    id.raw(),
-                                    seq,
-                                    next,
-                                    SALT_RETRY_JITTER,
-                                );
-                                RetryState {
-                                    attempt: next,
-                                    due_tick: self.tick + policy.backoff_ticks(next, noise),
+                        } => {
+                            *state = RetryState::IDLE;
+                            LinkOutcome::Lost { transmitted: false }
+                        }
+                        LinkEvent::Dropped { .. } => {
+                            c.lost += 1;
+                            *state = match self.retry_policies[i] {
+                                Some(policy) if attempt < policy.max_retries => {
+                                    let next = attempt + 1;
+                                    let noise = event_noise(
+                                        self.channel.as_ref().map_or(0, FaultChannel::seed),
+                                        id.raw(),
+                                        seq,
+                                        next,
+                                        SALT_RETRY_JITTER,
+                                    );
+                                    RetryState {
+                                        attempt: next,
+                                        due_tick: self.tick + policy.backoff_ticks(next, noise),
+                                    }
                                 }
-                            }
-                            _ => RetryState::IDLE,
-                        };
-                        LinkOutcome::Lost { transmitted: true }
-                    }
-                };
-            }
-            true
-        } else {
-            false
-        };
-        // Per-node apply fates for the invariant monitors: without a
-        // network a sent update reaches the broker directly; with one the
-        // routing phase just decided every frame's fate.
-        if routed {
-            for (fate, outcome) in scratch.fates.iter_mut().zip(scratch.link.iter()) {
-                *fate = match outcome {
-                    LinkOutcome::Idle => NodeFate::Idle,
-                    LinkOutcome::Delivered { .. } => NodeFate::Accepted,
-                    LinkOutcome::Lost { transmitted: true } => NodeFate::LostInFlight,
-                    LinkOutcome::Lost { transmitted: false } => NodeFate::NoCoverage,
-                };
-            }
-        } else {
-            for (fate, decision) in scratch.fates.iter_mut().zip(scratch.decisions.iter()) {
-                *fate = if decision.is_sent() {
-                    NodeFate::Accepted
-                } else {
-                    NodeFate::Idle
-                };
-            }
-        }
-        let link: Option<&[LinkOutcome]> = routed.then_some(&scratch.link);
-        rec.span(Phase::Transmit, on_air);
-
-        // 3+4 fused, shard-parallel: apply each decision to both brokers
-        // and measure location error against ground truth — the paper's
-        // RMSE over all n nodes at time t — from the freshly updated dense
-        // slots. The job list is a lazy zip of per-shard slices; results
-        // land in the reused `outs` buffer in shard order.
-        let mut refreshed_now = 0u64;
-        match self.sparse.as_deref_mut() {
-            None => {
-                let jobs = self
-                    .cols
-                    .region_kinds()
-                    .chunks(SHARD_SIZE)
-                    .zip(scratch.observations.chunks(SHARD_SIZE))
-                    .zip(scratch.decisions.chunks(SHARD_SIZE))
-                    .zip(scratch.sent_seq.chunks_mut(SHARD_SIZE))
-                    .zip(self.seqs.chunks_mut(SHARD_SIZE))
-                    .zip(self.broker_le.shard_views_iter(SHARD_SIZE))
-                    .zip(self.broker_raw.shard_views_iter(SHARD_SIZE))
-                    .enumerate()
-                    .map(|(i, ((((((kinds, obs), dec), sent_seqs), seqs), le), raw))| ShardJob {
-                        kinds,
-                        observations: obs,
-                        decisions: dec,
-                        link: link.map(|d| &d[i * SHARD_SIZE..(i * SHARD_SIZE + obs.len())]),
-                        sent_seqs,
-                        seqs,
-                        le,
-                        raw,
-                        sparse: None,
-                    });
-                self.pool.run_into(jobs, &mut scratch.outs, |_, job| {
-                    Self::run_shard(time_s, recording, job)
-                });
-            }
-            Some(sp) => {
-                // Due staleness-refresh wakes force a full evaluation of
-                // their node this tick; the full path re-arms them below.
-                let due = sp.refresh.advance(self.tick);
-                for &node in due {
-                    sp.force_eval[node as usize] = true;
+                                _ => RetryState::IDLE,
+                            };
+                            LinkOutcome::Lost { transmitted: true }
+                        }
+                    };
                 }
-                refreshed_now = due.len() as u64;
-                sp.wake_refresh += refreshed_now;
-
-                let tick = self.tick;
-                let jobs = self
-                    .cols
-                    .region_kinds()
-                    .chunks(SHARD_SIZE)
-                    .zip(scratch.observations.chunks(SHARD_SIZE))
-                    .zip(scratch.decisions.chunks(SHARD_SIZE))
-                    .zip(scratch.sent_seq.chunks_mut(SHARD_SIZE))
-                    .zip(self.seqs.chunks_mut(SHARD_SIZE))
-                    .zip(self.broker_le.shard_views_iter(SHARD_SIZE))
-                    .zip(self.broker_raw.shard_views_iter(SHARD_SIZE))
-                    .zip(sp.idle.chunks_mut(SHARD_SIZE))
-                    .zip(sp.force_eval.chunks_mut(SHARD_SIZE))
-                    .zip(sp.last_eval.chunks_mut(SHARD_SIZE))
-                    .enumerate()
-                    .map(
-                        |(
-                            i,
-                            (
-                                ((((((((kinds, obs), dec), sent_seqs), seqs), le), raw), idle), force_eval),
-                                last_eval,
-                            ),
-                        )| ShardJob {
-                            kinds,
-                            observations: obs,
-                            decisions: dec,
-                            link: link.map(|d| &d[i * SHARD_SIZE..(i * SHARD_SIZE + obs.len())]),
-                            sent_seqs,
-                            seqs,
-                            le,
-                            raw,
-                            sparse: Some(SparseShard {
-                                idle,
-                                force_eval,
-                                last_eval,
-                                tick,
-                            }),
-                        },
-                    );
-                self.pool.run_into(jobs, &mut scratch.outs, |_, job| {
-                    Self::run_shard(time_s, recording, job)
-                });
+                for (fate, outcome) in scratch.fates.iter_mut().zip(&scratch.link) {
+                    *fate = outcome.fate();
+                }
             }
         }
+        c
+    }
+
+    /// Phases 3+4 fused, shard-parallel: applies each node's link outcome
+    /// to both brokers and measures location error against ground truth —
+    /// the paper's RMSE over all n nodes at time t — from the freshly
+    /// updated dense slots. The job list is a lazy zip of per-shard slices
+    /// (the sparse driver's columns ride along as `Option`s); results land
+    /// in the reused `outs` buffer and are reduced in shard order into the
+    /// returned tick total.
+    fn apply_measure(
+        &mut self,
+        time_s: f64,
+        rec: &mut dyn Recorder,
+        wake: &mut WakeTick,
+    ) -> ShardOut {
+        let recording = rec.enabled();
+        let tick = self.tick;
+        let scratch = &mut self.scratch;
+        let mut sparse_columns = self.sparse.as_deref_mut().map(|sp| {
+            // Due staleness-refresh wakes force a full evaluation of their
+            // node this tick; the full path re-arms them below.
+            let due = sp.refresh.advance(tick);
+            for &node in due {
+                sp.force_eval[node as usize] = true;
+            }
+            wake.refreshed = due.len() as u64;
+            sp.wake_refresh += wake.refreshed;
+            sp.idle
+                .chunks_mut(SHARD_SIZE)
+                .zip(sp.force_eval.chunks_mut(SHARD_SIZE))
+                .zip(sp.last_eval.chunks_mut(SHARD_SIZE))
+        });
+        let jobs = self
+            .cols
+            .region_kinds()
+            .chunks(SHARD_SIZE)
+            .zip(scratch.observations.chunks(SHARD_SIZE))
+            .zip(scratch.link.chunks(SHARD_SIZE))
+            .zip(scratch.sent_seq.chunks(SHARD_SIZE))
+            .zip(self.broker_le.shard_views_iter(SHARD_SIZE))
+            .zip(self.broker_raw.shard_views_iter(SHARD_SIZE))
+            .map(
+                |(((((kinds, observations), link), sent_seqs), le), raw)| ShardJob {
+                    kinds,
+                    observations,
+                    link,
+                    sent_seqs,
+                    le,
+                    raw,
+                    sparse: sparse_columns.as_mut().and_then(Iterator::next).map(
+                        |((idle, force_eval), last_eval)| SparseShard {
+                            idle,
+                            force_eval,
+                            last_eval,
+                            tick,
+                        },
+                    ),
+                },
+            );
+        self.pool.run_into(jobs, &mut scratch.outs, |_, job| {
+            Self::run_shard(time_s, recording, job)
+        });
 
         // Shard-ordered reduction: exact for the integer tallies, and a
         // fixed floating-point summation order for the RMSE partials.
-        let mut tick_tally = RegionTally::new();
-        let mut sent = 0u32;
-        let mut stale_nodes = 0u32;
-        let mut all_le = Rmse::new();
-        let mut all_raw = Rmse::new();
-        let mut road_le = Rmse::new();
-        let mut road_raw = Rmse::new();
-        let mut bld_le = Rmse::new();
-        let mut bld_raw = Rmse::new();
-        let mut err_le = HistogramDelta::new(error_bucket_spec());
-        let mut err_raw = HistogramDelta::new(error_bucket_spec());
+        let gen_seq = tick as u32;
+        let mut total = ShardOut::new();
         for out in &scratch.outs {
-            sent += out.sent;
-            stale_nodes += out.stale;
-            tick_tally.merge(&out.tally);
-            all_le.merge(&out.all_le);
-            all_raw.merge(&out.all_raw);
-            road_le.merge(&out.road_le);
-            road_raw.merge(&out.road_raw);
-            bld_le.merge(&out.bld_le);
-            bld_raw.merge(&out.bld_raw);
+            total.merge(out, recording);
             if recording {
-                err_le.merge(&out.err_le);
-                err_raw.merge(&out.err_raw);
                 // Drain the shard's flight samples in shard order, so the
                 // apply/error event stream is identical at any thread
                 // count.
@@ -1334,50 +1426,65 @@ impl MobileGridSim {
         // refresh wake of every node a full evaluation just (re)cached —
         // in shard order, so the wheel's schedule history stays independent
         // of thread scheduling.
-        let mut replays_now = 0u64;
         if let Some(sp) = self.sparse.as_deref_mut() {
             for out in &scratch.outs {
-                replays_now += out.replays;
-                if out.max_eval_gap > sp.max_eval_gap {
-                    sp.max_eval_gap = out.max_eval_gap;
-                }
+                sp.max_eval_gap = sp.max_eval_gap.max(out.max_eval_gap);
                 for &node in &out.newly_cached {
-                    sp.refresh.schedule(node, self.tick + sp.staleness_refresh);
+                    sp.refresh.schedule(node, tick + sp.staleness_refresh);
                 }
             }
-            sp.replayed_node_ticks += replays_now;
+            wake.replays = total.replays;
+            sp.replayed_node_ticks += total.replays;
         }
-        self.cumulative.merge(&tick_tally);
-        rec.span(Phase::Estimate, scratch.observations.len() as u64);
+        self.cumulative.merge(&total.tally);
+        total
+    }
 
+    /// The tick's tail: telemetry counters and gauges, the staleness
+    /// transition, the online invariant monitors (every tick, recording or
+    /// not), and the returned [`TickStats`].
+    fn tail(
+        &mut self,
+        time_s: f64,
+        rec: &mut dyn Recorder,
+        filter_sent: u32,
+        route: &RouteCounts,
+        total: &ShardOut,
+        wake: &WakeTick,
+    ) -> TickStats {
+        let recording = rec.enabled();
+        let scratch = &mut self.scratch;
+        let observed = scratch.observations.len() as u32;
+        let suppressed = observed - filter_sent;
+        let stale_nodes = total.stale;
         if recording {
-            rec.histogram_merge("sim.err_with_le", &err_le);
-            rec.histogram_merge("sim.err_without_le", &err_raw);
+            rec.histogram_merge("sim.err_with_le", &total.err_le);
+            rec.histogram_merge("sim.err_without_le", &total.err_raw);
 
             rec.counter_add("sim.ticks", 1);
-            rec.counter_add("sim.observed", u64::from(scratch.observations.len() as u32));
-            rec.counter_add("sim.sent", u64::from(sent));
-            rec.counter_add("sim.retries", u64::from(retries));
-            rec.counter_add("sim.lost", u64::from(lost));
-            rec.counter_add("sim.late", u64::from(late));
+            rec.counter_add("sim.observed", u64::from(observed));
+            rec.counter_add("sim.sent", u64::from(total.sent));
+            rec.counter_add("sim.retries", u64::from(route.retries));
+            rec.counter_add("sim.lost", u64::from(route.lost));
+            rec.counter_add("sim.late", u64::from(route.late));
             rec.counter_add("sim.filter_sent", u64::from(filter_sent));
             rec.counter_add("sim.suppressed", u64::from(suppressed));
-            rec.counter_add("sim.delivered", u64::from(if routed { delivered } else { filter_sent }));
-            rec.counter_add("sim.deferred", u64::from(deferred));
-            rec.counter_add("sim.no_coverage", u64::from(no_coverage));
-            rec.counter_add("sim.road.sent", tick_tally.road.sent);
-            rec.counter_add("sim.road.observed", tick_tally.road.observed);
-            rec.counter_add("sim.building.sent", tick_tally.building.sent);
-            rec.counter_add("sim.building.observed", tick_tally.building.observed);
+            rec.counter_add("sim.delivered", u64::from(route.delivered));
+            rec.counter_add("sim.deferred", u64::from(route.deferred));
+            rec.counter_add("sim.no_coverage", u64::from(route.no_coverage));
+            rec.counter_add("sim.road.sent", total.tally.road.sent);
+            rec.counter_add("sim.road.observed", total.tally.road.observed);
+            rec.counter_add("sim.building.sent", total.tally.building.sent);
+            rec.counter_add("sim.building.observed", total.tally.building.observed);
 
             rec.gauge_set("sim.time_s", time_s);
             rec.gauge_set("sim.stale_nodes", f64::from(stale_nodes));
-            rec.gauge_set("sim.rmse_with_le", all_le.value());
-            rec.gauge_set("sim.rmse_without_le", all_raw.value());
-            rec.gauge_set("sim.road.rmse_with_le", road_le.value());
-            rec.gauge_set("sim.road.rmse_without_le", road_raw.value());
-            rec.gauge_set("sim.building.rmse_with_le", bld_le.value());
-            rec.gauge_set("sim.building.rmse_without_le", bld_raw.value());
+            rec.gauge_set("sim.rmse_with_le", total.all_le.value());
+            rec.gauge_set("sim.rmse_without_le", total.all_raw.value());
+            rec.gauge_set("sim.road.rmse_with_le", total.road_le.value());
+            rec.gauge_set("sim.road.rmse_without_le", total.road_raw.value());
+            rec.gauge_set("sim.building.rmse_with_le", total.bld_le.value());
+            rec.gauge_set("sim.building.rmse_without_le", total.bld_raw.value());
 
             rec.gauge_set("broker.le.received", self.broker_le.received_count() as f64);
             rec.gauge_set("broker.le.estimated", self.broker_le.estimated_count() as f64);
@@ -1401,10 +1508,10 @@ impl MobileGridSim {
             // the dense run it mirrors.
             if self.wake_telemetry {
                 if let Some(sp) = self.sparse.as_deref() {
-                    rec.counter_add("wake.mobility", woken_now);
-                    rec.counter_add("wake.refresh", refreshed_now);
-                    rec.counter_add("wake.slept_node_ticks", slept_now);
-                    rec.counter_add("wake.replays", replays_now);
+                    rec.counter_add("wake.mobility", wake.woken);
+                    rec.counter_add("wake.refresh", wake.refreshed);
+                    rec.counter_add("wake.slept_node_ticks", wake.slept);
+                    rec.counter_add("wake.replays", wake.replays);
                     rec.gauge_set(
                         "wake.wheel_occupancy",
                         (sp.mobility.occupancy() + sp.refresh.occupancy()) as f64,
@@ -1430,17 +1537,21 @@ impl MobileGridSim {
         }
         let vitals = TickVitals {
             tick: self.tick,
-            generated: scratch.observations.len() as u64,
+            generated: u64::from(observed),
             filter_sent: u64::from(filter_sent),
             suppressed: u64::from(suppressed),
             // Without a network a sent update reaches the broker
             // directly: one "frame" per send, all delivered.
-            on_air: if routed { on_air } else { u64::from(filter_sent) },
-            delivered: u64::from(if routed { delivered } else { filter_sent }),
-            lost: u64::from(lost),
-            no_coverage: u64::from(no_coverage),
-            deferred: u64::from(deferred),
-            arrived_late: u64::from(late),
+            on_air: if self.network.is_some() {
+                route.on_air
+            } else {
+                u64::from(route.delivered)
+            },
+            delivered: u64::from(route.delivered),
+            lost: u64::from(route.lost),
+            no_coverage: u64::from(route.no_coverage),
+            deferred: u64::from(route.deferred),
+            arrived_late: u64::from(route.late),
             in_flight: self.channel.as_ref().map_or(0, |ch| ch.in_flight() as u64),
             stale_nodes,
             node_fates: &scratch.fates,
@@ -1467,170 +1578,103 @@ impl MobileGridSim {
 
         TickStats {
             time_s,
-            sent,
-            observed: scratch.observations.len() as u32,
-            retries,
-            lost,
-            late,
+            sent: total.sent,
+            observed,
+            retries: route.retries,
+            lost: route.lost,
+            late: route.late,
             stale_nodes,
-            region: tick_tally,
-            rmse_with_le: all_le.value(),
-            rmse_without_le: all_raw.value(),
-            road_rmse_with_le: road_le.value(),
-            road_rmse_without_le: road_raw.value(),
-            building_rmse_with_le: bld_le.value(),
-            building_rmse_without_le: bld_raw.value(),
+            region: total.tally,
+            rmse_with_le: total.all_le.value(),
+            rmse_without_le: total.all_raw.value(),
+            road_rmse_with_le: total.road_le.value(),
+            road_rmse_without_le: total.road_raw.value(),
+            building_rmse_with_le: total.bld_le.value(),
+            building_rmse_without_le: total.bld_raw.value(),
         }
     }
 
-    /// Applies one shard's decisions to both broker shards and accumulates
-    /// the shard's tally and RMSE partials (plus, when `record` is set, the
-    /// per-node location-error histograms).
+    /// Applies one shard's link outcomes to both broker shards through the
+    /// broker applier and accumulates the shard's tally and RMSE partials
+    /// (plus, when `record` is set, the per-node location-error histograms
+    /// and flight samples).
     fn run_shard(time_s: f64, record: bool, mut job: ShardJob<'_>) -> ShardOut {
-        let mut out = ShardOut {
-            sent: 0,
-            stale: 0,
-            tally: RegionTally::new(),
-            all_le: Rmse::new(),
-            all_raw: Rmse::new(),
-            road_le: Rmse::new(),
-            road_raw: Rmse::new(),
-            bld_le: Rmse::new(),
-            bld_raw: Rmse::new(),
-            le_delta: BrokerDelta::default(),
-            raw_delta: BrokerDelta::default(),
-            err_le: HistogramDelta::new(error_bucket_spec()),
-            err_raw: HistogramDelta::new(error_bucket_spec()),
-            flight: Vec::new(),
-            newly_cached: Vec::new(),
-            replays: 0,
-            max_eval_gap: 0,
-        };
+        let mut out = ShardOut::new();
         for (i, (id, pos)) in job.observations.iter().enumerate() {
             let kind = job.kinds[i];
-            // Whether this node takes the pure filtered/idle path this
-            // tick: nothing reaches the broker, both slots just estimate.
-            // (`Lost {transmitted: false}` — out of coverage — applies as
-            // a filtered update too.)
-            let idle_path = match job.link {
-                None => matches!(job.decisions[i], Decision::Filtered),
-                Some(link) => matches!(
-                    link[i],
-                    LinkOutcome::Idle | LinkOutcome::Lost { transmitted: false }
-                ),
+            let link = job.link[i];
+            let sent = link.transmitted();
+            out.sent += u32::from(sent);
+            out.tally.record(kind, sent);
+            // Sparse idle-replay fast path: on the pure filtered/idle path,
+            // with a valid cache, unchanged ground truth and no forced
+            // refresh, the full evaluation is provably bit-identical to the
+            // cached one — re-store the cached estimates (keeping broker
+            // records and deltas exact) and push the cached errors.
+            let cache = match &job.sparse {
+                Some(sp)
+                    if !sent && sp.idle[i].valid && !sp.force_eval[i] && sp.idle[i].pos == *pos =>
+                {
+                    Some(sp.idle[i])
+                }
+                _ => None,
             };
-            // Sparse idle-replay fast path: with a valid cache, unchanged
-            // ground truth and no forced refresh, the evaluation below is
-            // provably bit-identical to the cached one — re-store the
-            // cached estimates (keeping broker records and deltas exact)
-            // and push the cached errors.
-            if let Some(sp) = &mut job.sparse {
-                let cache = sp.idle[i];
-                if idle_path && cache.valid && !sp.force_eval[i] && cache.pos == *pos {
-                    out.tally.record(kind, false);
-                    let apply = job.le.replay_filtered(*id, time_s, cache.le_stored);
-                    job.raw.replay_filtered(*id, time_s, cache.raw_stored);
-                    out.replays += 1;
-                    let (err_le, err_raw) = (cache.err_le, cache.err_raw);
-                    out.all_le.push(err_le);
-                    out.all_raw.push(err_raw);
-                    if record {
-                        out.err_le.record(err_le);
-                        out.err_raw.record(err_raw);
-                        out.flight.push(FlightSample {
-                            node: id.raw(),
-                            apply,
+            let (apply, err_le, err_raw) = if let Some(cache) = cache {
+                let apply = job.le.replay_filtered(*id, time_s, cache.le_stored);
+                job.raw.replay_filtered(*id, time_s, cache.raw_stored);
+                out.replays += 1;
+                (apply, cache.err_le, cache.err_raw)
+            } else {
+                let (op, duplicate) = link.records(*id, time_s, *pos, job.sent_seqs[i]);
+                let apply = job.le.apply(&op).expect("link records are broker ops");
+                job.raw.apply(&op);
+                if let Some(copy) = duplicate {
+                    // The second copy is byte-identical; the broker rejects
+                    // it and counts the rejection.
+                    job.le.apply(&copy);
+                    job.raw.apply(&copy);
+                }
+                // Measure against ground truth via direct dense-slot reads.
+                let error = |shard: &BrokerShard<'_>| {
+                    shard
+                        .location(*id)
+                        .map_or(0.0, |r| r.position.distance_to(*pos))
+                };
+                let (err_le, err_raw) = (error(&job.le), error(&job.raw));
+                // Sparse bookkeeping after a full evaluation: account the
+                // eval gap, clear any pending refresh, and capture (or
+                // invalidate) the idle-replay cache. A cache is only valid
+                // when the tick was pure idle AND both estimators are
+                // provably time-invariant until their next observation.
+                if let Some(sp) = &mut job.sparse {
+                    out.max_eval_gap = out.max_eval_gap.max(sp.tick - sp.last_eval[i]);
+                    sp.last_eval[i] = sp.tick;
+                    sp.force_eval[i] = false;
+                    if !sent && job.le.estimator_is_static(*id) && job.raw.estimator_is_static(*id)
+                    {
+                        // The estimate this tick stored, if any: broker
+                        // records carry strictly increasing times per node,
+                        // so matching on `time_s` uniquely identifies this
+                        // tick's store.
+                        let stored = |rec: Option<&LocationRecord>| {
+                            rec.filter(|r| r.estimated && r.time_s == time_s)
+                                .map(|r| r.position)
+                        };
+                        sp.idle[i] = IdleCache {
+                            valid: true,
+                            pos: *pos,
+                            le_stored: stored(job.le.location(*id)),
+                            raw_stored: stored(job.raw.location(*id)),
                             err_le,
                             err_raw,
-                        });
+                        };
+                        out.newly_cached.push(id.raw());
+                    } else {
+                        sp.idle[i].valid = false;
                     }
-                    match kind {
-                        RegionKind::Road => {
-                            out.road_le.push(err_le);
-                            out.road_raw.push(err_raw);
-                        }
-                        RegionKind::Building => {
-                            out.bld_le.push(err_le);
-                            out.bld_raw.push(err_raw);
-                        }
-                    }
-                    continue;
                 }
-            }
-            let apply = match job.link {
-                // No network: a sent update reaches the brokers directly,
-                // and this phase owns the sequence counters (writing the
-                // used value back for the seq-monotonicity monitor).
-                None => match job.decisions[i] {
-                    Decision::Sent => {
-                        let seq = &mut job.seqs[i];
-                        let lu = LocationUpdate::new(*id, time_s, *pos, *seq);
-                        job.sent_seqs[i] = *seq;
-                        *seq = seq.wrapping_add(1);
-                        out.sent += 1;
-                        out.tally.record(kind, true);
-                        let info = job.le.receive(&lu);
-                        job.raw.receive(&lu);
-                        info
-                    }
-                    Decision::Filtered => {
-                        out.tally.record(kind, false);
-                        let info = job.le.note_filtered(*id, time_s);
-                        job.raw.note_filtered(*id, time_s);
-                        info
-                    }
-                },
-                // With a network the routing phase already decided every
-                // frame's fate; apply it to both brokers.
-                Some(link) => match link[i] {
-                    LinkOutcome::Idle => {
-                        out.tally.record(kind, false);
-                        let info = job.le.note_filtered(*id, time_s);
-                        job.raw.note_filtered(*id, time_s);
-                        info
-                    }
-                    LinkOutcome::Delivered { duplicate } => {
-                        let lu = LocationUpdate::new(*id, time_s, *pos, job.sent_seqs[i]);
-                        out.sent += 1;
-                        out.tally.record(kind, true);
-                        let info = job.le.receive(&lu);
-                        job.raw.receive(&lu);
-                        if duplicate {
-                            // The second copy is byte-identical; the broker
-                            // rejects it and counts the rejection.
-                            job.le.receive(&lu);
-                            job.raw.receive(&lu);
-                        }
-                        info
-                    }
-                    LinkOutcome::Lost { transmitted: true } => {
-                        // The frame consumed airtime but never arrived: the
-                        // broker expected it and degrades gracefully.
-                        out.sent += 1;
-                        out.tally.record(kind, true);
-                        let info = job.le.note_lost(*id, time_s);
-                        job.raw.note_lost(*id, time_s);
-                        info
-                    }
-                    LinkOutcome::Lost { transmitted: false } => {
-                        // Out of coverage: the frame never reached the air;
-                        // the broker estimates, same as a filtered update.
-                        out.tally.record(kind, false);
-                        let info = job.le.note_filtered(*id, time_s);
-                        job.raw.note_filtered(*id, time_s);
-                        info
-                    }
-                },
+                (apply, err_le, err_raw)
             };
-            // Measure against ground truth via direct dense-slot reads.
-            let err_le = job
-                .le
-                .location(*id)
-                .map_or(0.0, |r| r.position.distance_to(*pos));
-            let err_raw = job
-                .raw
-                .location(*id)
-                .map_or(0.0, |r| r.position.distance_to(*pos));
             out.all_le.push(err_le);
             out.all_raw.push(err_raw);
             if record {
@@ -1653,42 +1697,6 @@ impl MobileGridSim {
                     out.bld_raw.push(err_raw);
                 }
             }
-            // Sparse bookkeeping after a full evaluation: account the eval
-            // gap, clear any pending refresh, and capture (or invalidate)
-            // the idle-replay cache. A cache is only valid when the tick
-            // was pure idle AND both estimators are provably
-            // time-invariant until their next observation.
-            if let Some(sp) = &mut job.sparse {
-                let gap = sp.tick - sp.last_eval[i];
-                if gap > out.max_eval_gap {
-                    out.max_eval_gap = gap;
-                }
-                sp.last_eval[i] = sp.tick;
-                sp.force_eval[i] = false;
-                if idle_path
-                    && job.le.estimator_is_static(*id)
-                    && job.raw.estimator_is_static(*id)
-                {
-                    // The estimate this tick stored, if any: broker records
-                    // carry strictly increasing times per node, so matching
-                    // on `time_s` uniquely identifies this tick's store.
-                    let stored = |rec: Option<&LocationRecord>| {
-                        rec.filter(|r| r.estimated && r.time_s == time_s)
-                            .map(|r| r.position)
-                    };
-                    sp.idle[i] = IdleCache {
-                        valid: true,
-                        pos: *pos,
-                        le_stored: stored(job.le.location(*id)),
-                        raw_stored: stored(job.raw.location(*id)),
-                        err_le,
-                        err_raw,
-                    };
-                    out.newly_cached.push(id.raw());
-                } else {
-                    sp.idle[i].valid = false;
-                }
-            }
         }
         out.stale = job.le.stale_count();
         out.le_delta = job.le.into_delta();
@@ -1703,31 +1711,32 @@ impl MobileGridSim {
 
     /// Executes one tick like [`MobileGridSim::step`] and appends the
     /// tick's **broker operation stream** to `ops` — exactly the sequence
-    /// of [`GridBroker`] calls the with-LE broker saw, as wire-encodable
+    /// of broker ops the with-LE broker applied, as wire-encodable
     /// [`IngestRecord`]s, terminated by an
     /// [`IngestRecord::TickEnd`] marker.
     ///
     /// Replaying the stream in order against a fresh
-    /// [`MobileGridSim::replica_broker`] (or feeding it to the
-    /// `mobigrid-broker-serve` ingest front-end) reproduces this sim's
-    /// `broker_le` state **bit for bit** — compare with
-    /// [`GridBroker::state_digest`]. The ordering contract that makes the
-    /// sequential replay exact:
+    /// [`MobileGridSim::replica_broker`] (with [`GridBroker::apply`]) or
+    /// feeding it to the `mobigrid-broker-serve` ingest front-end
+    /// reproduces this sim's `broker_le` state **bit for bit** — compare
+    /// with [`GridBroker::state_digest`]. The ordering contract that makes
+    /// the sequential replay exact:
     ///
     /// 1. late (deferred) frames delivered this tick come first, in drain
     ///    order — they reach the brokers in phase 2b before any per-node
     ///    apply;
-    /// 2. one record per node in node order — [`IngestRecord::Update`]
-    ///    for a delivered frame (twice on a channel duplicate),
-    ///    [`IngestRecord::Lost`] for a transmitted-but-lost frame, and
-    ///    [`IngestRecord::Filtered`] for everything the broker estimates
-    ///    through (suppressed, idle, or out-of-coverage). The shard-
-    ///    parallel apply phase touches disjoint per-node slots and merges
-    ///    counter deltas in shard order, so the node-order sequential
-    ///    replay is state-identical. The sparse driver's idle-replay path
-    ///    is bit-identical to `note_filtered` by construction (pinned by
-    ///    the dense/sparse equivalence suite), so replayed nodes also map
-    ///    to `Filtered`;
+    /// 2. the records of each node's link outcome, in node order — the
+    ///    very records the apply phase fed the broker applier:
+    ///    [`IngestRecord::Update`] for a delivered frame (twice on a
+    ///    channel duplicate), [`IngestRecord::Lost`] for a
+    ///    transmitted-but-lost frame, and [`IngestRecord::Filtered`] for
+    ///    everything the broker estimates through (suppressed, idle, or
+    ///    out-of-coverage). The shard-parallel apply phase touches
+    ///    disjoint per-node slots and merges counter deltas in shard
+    ///    order, so the node-order sequential replay is state-identical.
+    ///    The sparse driver's idle-replay path is bit-identical to
+    ///    `note_filtered` by construction (pinned by the dense/sparse
+    ///    equivalence suite), so replayed nodes also map to `Filtered`;
     /// 3. the `TickEnd` marker.
     pub fn step_tapped(&mut self, ops: &mut Vec<IngestRecord>) -> TickStats {
         self.step_tapped_recorded(&mut NoopRecorder, ops)
@@ -1746,52 +1755,20 @@ impl MobileGridSim {
     ) -> TickStats {
         let stats = self.step_recorded(rec);
         let time_s = self.tick as f64 * self.dt;
+        let scratch = &self.scratch;
         // Phase 2b applied these before anything else this tick. The
         // buffer still holds exactly this tick's drain (it is cleared at
         // the start of the next one, and stays empty without a channel).
-        for lu in &self.scratch.late_lus {
-            ops.push(IngestRecord::Update(*lu));
-        }
-        if self.network.is_some() {
-            for (i, ((id, pos), outcome)) in self
-                .scratch
-                .observations
-                .iter()
-                .zip(self.scratch.link.iter())
-                .enumerate()
-            {
-                match outcome {
-                    LinkOutcome::Idle | LinkOutcome::Lost { transmitted: false } => {
-                        ops.push(IngestRecord::Filtered { node: *id, time_s });
-                    }
-                    LinkOutcome::Delivered { duplicate } => {
-                        let lu =
-                            LocationUpdate::new(*id, time_s, *pos, self.scratch.sent_seq[i]);
-                        ops.push(IngestRecord::Update(lu));
-                        if *duplicate {
-                            ops.push(IngestRecord::Update(lu));
-                        }
-                    }
-                    LinkOutcome::Lost { transmitted: true } => {
-                        ops.push(IngestRecord::Lost { node: *id, time_s });
-                    }
-                }
-            }
-        } else {
-            for (i, ((id, pos), decision)) in self
-                .scratch
-                .observations
-                .iter()
-                .zip(self.scratch.decisions.iter())
-                .enumerate()
-            {
-                if decision.is_sent() {
-                    let lu = LocationUpdate::new(*id, time_s, *pos, self.scratch.sent_seq[i]);
-                    ops.push(IngestRecord::Update(lu));
-                } else {
-                    ops.push(IngestRecord::Filtered { node: *id, time_s });
-                }
-            }
+        ops.extend(scratch.late_lus.iter().map(|lu| IngestRecord::Update(*lu)));
+        for (((id, pos), link), seq) in scratch
+            .observations
+            .iter()
+            .zip(&scratch.link)
+            .zip(&scratch.sent_seq)
+        {
+            let (op, duplicate) = link.records(*id, time_s, *pos, *seq);
+            ops.push(op);
+            ops.extend(duplicate);
         }
         ops.push(IngestRecord::TickEnd {
             tick: self.tick,
@@ -2248,10 +2225,13 @@ mod tests {
     }
 
     /// The op-stream tap contract: replaying `step_tapped`'s records
-    /// sequentially into a fresh replica broker — and through the sharded
-    /// concurrent store — reproduces the live with-LE broker bit for bit,
-    /// including under a channel that drops, delays, duplicates and
-    /// corrupts frames (all four apply paths exercised).
+    /// sequentially into a fresh replica broker through the broker
+    /// applier — and through the sharded concurrent store — reproduces the
+    /// live with-LE broker bit for bit. Three configurations cover every
+    /// route: a channel that drops, delays, duplicates and corrupts frames
+    /// (all four apply paths), no network under the dense driver, and no
+    /// network under the sparse driver with parked nodes, so idle replays
+    /// fire.
     #[test]
     fn tapped_op_stream_replays_bit_identically() {
         use crate::BrokerStore;
@@ -2264,58 +2244,72 @@ mod tests {
             duplicate_rate: 0.2,
             ..FaultPlan::lossless()
         };
-        let mut sim = SimBuilder::new()
-            .nodes((0..40).map(|i| walker(i, 1.0 + f64::from(i % 5))).collect())
-            .policy(AdaptiveDistanceFilter::new(crate::AdfConfig::new(1.0)).unwrap())
-            .network(wide_net())
-            .faults(plan, 11)
-            .build()
-            .unwrap();
-        let mut replica = sim.replica_broker();
-        let store = BrokerStore::new(replica.estimator_kind(), sim.node_count(), 4).unwrap();
-        for (i, anchor) in sim.columns().home_anchors().iter().enumerate() {
-            if let Some(anchor) = anchor {
-                store.set_home_anchor(MnId::new(i as u32), *anchor);
-            }
-        }
-        let mut ops = Vec::new();
-        for tick in 1..=60u64 {
-            ops.clear();
-            sim.step_tapped(&mut ops);
-            assert!(
-                matches!(ops.last(), Some(IngestRecord::TickEnd { tick: t, .. }) if *t == tick),
-                "tick {tick}: stream must end with its TickEnd marker"
-            );
-            for op in &ops {
-                match op {
-                    IngestRecord::Update(lu) => {
-                        replica.receive(lu);
-                    }
-                    IngestRecord::Filtered { node, time_s } => {
-                        replica.note_filtered(*node, *time_s);
-                    }
-                    IngestRecord::Lost { node, time_s } => {
-                        replica.note_lost(*node, *time_s);
-                    }
-                    IngestRecord::TickEnd { .. } | IngestRecord::BatchSpan { .. } => {}
+        let walkers = || (0..40).map(|i| walker(i, 1.0 + f64::from(i % 5)));
+        let mixed = || walkers().take(30).chain((30..40).map(parked)).collect();
+        let policy = || AdaptiveDistanceFilter::new(crate::AdfConfig::new(1.0)).unwrap();
+        let configs = [
+            (
+                "network + faults",
+                SimBuilder::new()
+                    .nodes(walkers().collect())
+                    .policy(policy())
+                    .network(wide_net())
+                    .faults(plan, 11),
+            ),
+            (
+                "no network, dense",
+                SimBuilder::new().nodes(mixed()).policy(policy()),
+            ),
+            (
+                "no network, sparse",
+                SimBuilder::new()
+                    .nodes(mixed())
+                    .policy(policy())
+                    .driver(TickDriver::Sparse),
+            ),
+        ];
+        for (name, builder) in configs {
+            let mut sim = builder.build().unwrap();
+            let mut replica = sim.replica_broker();
+            let store = BrokerStore::new(replica.estimator_kind(), sim.node_count(), 4).unwrap();
+            for (i, anchor) in sim.columns().home_anchors().iter().enumerate() {
+                if let Some(anchor) = anchor {
+                    store.set_home_anchor(MnId::new(i as u32), *anchor);
                 }
             }
-            store.apply_batch(&ops);
-            assert_eq!(
-                replica.state_digest(),
-                sim.broker_with_le().state_digest(),
-                "tick {tick}: sequential replay diverged from the live broker"
-            );
-            assert_eq!(
-                store.state_digest(),
-                sim.broker_with_le().state_digest(),
-                "tick {tick}: sharded store diverged from the live broker"
-            );
+            let mut ops = Vec::new();
+            for tick in 1..=60u64 {
+                ops.clear();
+                sim.step_tapped(&mut ops);
+                assert!(
+                    matches!(ops.last(), Some(IngestRecord::TickEnd { tick: t, .. }) if *t == tick),
+                    "{name}, tick {tick}: stream must end with its TickEnd marker"
+                );
+                for op in &ops {
+                    replica.apply(op);
+                }
+                store.apply_batch(&ops);
+                assert_eq!(
+                    replica.state_digest(),
+                    sim.broker_with_le().state_digest(),
+                    "{name}, tick {tick}: sequential replay diverged from the live broker"
+                );
+                assert_eq!(
+                    store.state_digest(),
+                    sim.broker_with_le().state_digest(),
+                    "{name}, tick {tick}: sharded store diverged from the live broker"
+                );
+            }
+            let broker = sim.broker_with_le();
+            match sim.wake_stats() {
+                Some(wake) => assert!(wake.replayed_node_ticks > 0, "{name}: no idle replay fired"),
+                None if sim.network().is_some() => assert!(
+                    broker.lost_count() > 0 && broker.rejected_count() > 0,
+                    "{name}: fault plan failed to exercise the lost and duplicate paths"
+                ),
+                None => assert!(broker.received_count() > 0 && broker.estimated_count() > 0),
+            }
         }
-        assert!(
-            sim.broker_with_le().lost_count() > 0 && sim.broker_with_le().rejected_count() > 0,
-            "fault plan failed to exercise the lost and duplicate paths"
-        );
     }
 
     #[test]

@@ -17,9 +17,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 use mobigrid_geo::{Point, Rect};
-use mobigrid_wireless::{IngestRecord, LocationUpdate, MnId};
+use mobigrid_wireless::{IngestRecord, MnId};
 
-use crate::broker::{EstimatorKind, GridBroker, LocationRecord, StateDigest};
+use crate::broker::{ApplyInfo, EstimatorKind, GridBroker, LocationRecord, StateDigest};
 
 /// Summed lifetime counters across every shard of a [`BrokerStore`] —
 /// the service's `stats` query payload.
@@ -123,8 +123,12 @@ impl BrokerStore {
 
     /// Which shard owns `index`, and the index rebased into that shard.
     fn route(&self, index: usize) -> (usize, MnId) {
-        let shard = (index / self.span).min(self.shards.len() - 1);
+        let shard = self.shard_of(index);
         (shard, MnId::new((index - shard * self.span) as u32))
+    }
+
+    fn shard_of(&self, index: usize) -> usize {
+        (index / self.span).min(self.shards.len() - 1)
     }
 
     /// Number of shards.
@@ -147,143 +151,65 @@ impl BrokerStore {
             .set_home_anchor(local, anchor);
     }
 
-    /// Applies one ingest record to its owning shard.
-    /// [`IngestRecord::TickEnd`] only advances the tick counter.
+    /// Applies one ingest record to its owning shard — a one-record
+    /// [`BrokerStore::apply_batch`].
     ///
     /// # Panics
     ///
     /// Panics if the shard lock is poisoned.
     pub fn apply(&self, op: &IngestRecord) {
-        match op {
-            IngestRecord::Update(lu) => {
-                let (shard, local) = self.route(lu.node.index());
-                let rebased = LocationUpdate::new(local, lu.time_s, lu.position, lu.seq);
-                self.shards[shard]
-                    .write()
-                    .expect("shard lock poisoned")
-                    .receive(&rebased);
-            }
-            IngestRecord::Filtered { node, time_s } => {
-                let (shard, local) = self.route(node.index());
-                self.shards[shard]
-                    .write()
-                    .expect("shard lock poisoned")
-                    .note_filtered(local, *time_s);
-            }
-            IngestRecord::Lost { node, time_s } => {
-                let (shard, local) = self.route(node.index());
-                self.shards[shard]
-                    .write()
-                    .expect("shard lock poisoned")
-                    .note_lost(local, *time_s);
-            }
-            IngestRecord::TickEnd { .. } => {
-                self.ticks.fetch_add(1, Ordering::Relaxed);
-            }
-            // A tracing stamp, not a broker operation.
-            IngestRecord::BatchSpan { .. } => {}
-        }
+        self.apply_ops(std::slice::from_ref(op), |_| {});
     }
 
     /// Applies a batch of ingest records in order, holding each shard's
     /// write lock across runs of consecutive same-shard records (one lock
     /// acquisition per run instead of per record).
+    /// [`IngestRecord::TickEnd`] only advances the tick counter.
     ///
     /// # Panics
     ///
     /// Panics if a shard lock is poisoned.
     pub fn apply_batch(&self, ops: &[IngestRecord]) {
-        let mut held: Option<(usize, std::sync::RwLockWriteGuard<'_, GridBroker>)> = None;
-        for op in ops {
-            let index = match op {
-                IngestRecord::Update(lu) => lu.node.index(),
-                IngestRecord::Filtered { node, .. } | IngestRecord::Lost { node, .. } => {
-                    node.index()
-                }
-                IngestRecord::TickEnd { .. } => {
-                    self.ticks.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                // A tracing stamp, not a broker operation.
-                IngestRecord::BatchSpan { .. } => continue,
-            };
-            let (shard, local) = self.route(index);
-            if held.as_ref().map(|(s, _)| *s) != Some(shard) {
-                held = Some((
-                    shard,
-                    self.shards[shard].write().expect("shard lock poisoned"),
-                ));
-            }
-            let broker = &mut held.as_mut().expect("guard just ensured").1;
-            match op {
-                IngestRecord::Update(lu) => {
-                    broker.receive(&LocationUpdate::new(local, lu.time_s, lu.position, lu.seq));
-                }
-                IngestRecord::Filtered { time_s, .. } => {
-                    broker.note_filtered(local, *time_s);
-                }
-                IngestRecord::Lost { time_s, .. } => {
-                    broker.note_lost(local, *time_s);
-                }
-                IngestRecord::TickEnd { .. } | IngestRecord::BatchSpan { .. } => {
-                    unreachable!("handled above")
-                }
-            }
-        }
+        self.apply_ops(ops, |_| {});
     }
 
     /// [`BrokerStore::apply_batch`], additionally reporting what the
     /// broker did with each record: pushes one `Some(ApplyInfo)` per
     /// broker operation and one `None` per framing marker
     /// ([`IngestRecord::TickEnd`] / [`IngestRecord::BatchSpan`]) onto
-    /// `infos`, in record order. The locking discipline — one write-guard
-    /// acquisition per run of consecutive same-shard records — and the
-    /// resulting store state are identical to the untraced path.
+    /// `infos`, in record order. The locking discipline and the resulting
+    /// store state are identical to the untraced path.
     ///
     /// # Panics
     ///
     /// Panics if a shard lock is poisoned.
-    pub fn apply_batch_traced(
-        &self,
-        ops: &[IngestRecord],
-        infos: &mut Vec<Option<crate::broker::ApplyInfo>>,
-    ) {
+    pub fn apply_batch_traced(&self, ops: &[IngestRecord], infos: &mut Vec<Option<ApplyInfo>>) {
+        self.apply_ops(ops, |info| infos.push(info));
+    }
+
+    /// The one routing loop behind every apply entry point: each broker op
+    /// goes to its owning shard's [`GridBroker`] (ids stay global; the
+    /// shard broker offsets them by its base), and `sink` sees every
+    /// record's [`ApplyInfo`] in order — a no-op sink compiles away.
+    fn apply_ops(&self, ops: &[IngestRecord], mut sink: impl FnMut(Option<ApplyInfo>)) {
         let mut held: Option<(usize, std::sync::RwLockWriteGuard<'_, GridBroker>)> = None;
         for op in ops {
-            let index = match op {
-                IngestRecord::Update(lu) => lu.node.index(),
-                IngestRecord::Filtered { node, .. } | IngestRecord::Lost { node, .. } => {
-                    node.index()
-                }
-                IngestRecord::TickEnd { .. } => {
+            let Some(node) = op.node() else {
+                if let IngestRecord::TickEnd { .. } = op {
                     self.ticks.fetch_add(1, Ordering::Relaxed);
-                    infos.push(None);
-                    continue;
                 }
-                IngestRecord::BatchSpan { .. } => {
-                    infos.push(None);
-                    continue;
+                sink(None);
+                continue;
+            };
+            let shard = self.shard_of(node.index());
+            let broker = match &mut held {
+                Some((s, guard)) if *s == shard => guard,
+                _ => {
+                    let guard = self.shards[shard].write().expect("shard lock poisoned");
+                    &mut held.insert((shard, guard)).1
                 }
             };
-            let (shard, local) = self.route(index);
-            if held.as_ref().map(|(s, _)| *s) != Some(shard) {
-                held = Some((
-                    shard,
-                    self.shards[shard].write().expect("shard lock poisoned"),
-                ));
-            }
-            let broker = &mut held.as_mut().expect("guard just ensured").1;
-            let info = match op {
-                IngestRecord::Update(lu) => {
-                    broker.receive(&LocationUpdate::new(local, lu.time_s, lu.position, lu.seq))
-                }
-                IngestRecord::Filtered { time_s, .. } => broker.note_filtered(local, *time_s),
-                IngestRecord::Lost { time_s, .. } => broker.note_lost(local, *time_s),
-                IngestRecord::TickEnd { .. } | IngestRecord::BatchSpan { .. } => {
-                    unreachable!("handled above")
-                }
-            };
-            infos.push(Some(info));
+            sink(broker.apply_based(shard * self.span, op));
         }
     }
 
@@ -431,6 +357,7 @@ impl BrokerStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mobigrid_wireless::LocationUpdate;
 
     fn lu(node: u32, t: f64, x: f64, y: f64, seq: u32) -> LocationUpdate {
         LocationUpdate::new(MnId::new(node), t, Point::new(x, y), seq)
@@ -473,18 +400,7 @@ mod tests {
         let mut single = GridBroker::new(brown()).unwrap();
         single.ensure_nodes(23);
         for op in &ops {
-            match op {
-                IngestRecord::Update(lu) => {
-                    single.receive(lu);
-                }
-                IngestRecord::Filtered { node, time_s } => {
-                    single.note_filtered(*node, *time_s);
-                }
-                IngestRecord::Lost { node, time_s } => {
-                    single.note_lost(*node, *time_s);
-                }
-                IngestRecord::TickEnd { .. } | IngestRecord::BatchSpan { .. } => {}
-            }
+            single.apply(op);
         }
         for shards in [1, 2, 4, 7, 23] {
             let store = BrokerStore::new(brown(), 23, shards).unwrap();

@@ -1,13 +1,14 @@
 //! Property-based tests for the adaptive distance filter.
 
 use mobigrid_adf::{
-    AdaptiveDistanceFilter, AdfConfig, DistanceFilter, FilterPolicy, FilterReference,
-    MobileGridSim, MobileNode, MobilityClassifier, RegionTally, SimBuilder,
+    AdaptiveDistanceFilter, AdfConfig, BrokerStore, DistanceFilter, EstimatorKind, FilterPolicy,
+    FilterReference, GridBroker, MobileGridSim, MobileNode, MobilityClassifier, RegionTally,
+    SimBuilder,
 };
 use mobigrid_campus::{RegionId, RegionKind};
 use mobigrid_geo::{Point, Polyline, Vec2};
 use mobigrid_mobility::{LoopMode, MobilityPattern, NodeType, PathFollower, StopModel};
-use mobigrid_wireless::MnId;
+use mobigrid_wireless::{IngestRecord, LocationUpdate, MnId};
 use proptest::prelude::*;
 
 fn trajectory() -> impl Strategy<Value = Vec<Point>> {
@@ -302,5 +303,93 @@ proptest! {
         let serial = synthetic_sim(node_count, seed, 1).run(ticks);
         let threaded = synthetic_sim(node_count, seed, 3).run(ticks);
         prop_assert_eq!(serial, threaded);
+    }
+}
+
+/// Node-id space of the broker-op property: the stores declare
+/// [`OP_CAPACITY`] nodes, and ids up to [`OP_NODES`] overflow into the last
+/// shard.
+const OP_CAPACITY: usize = 20;
+const OP_NODES: u32 = 24;
+
+/// Random broker op streams: fresh updates at the current time or up to
+/// two ticks back (stale frames once a newer one landed), exact repeats of
+/// a node's last update (duplicates), colliding sequence numbers,
+/// filtered and lost notes, and tick markers that advance the clock.
+fn broker_ops() -> impl Strategy<Value = Vec<IngestRecord>> {
+    let position = (-50.0..50.0f64, -50.0..50.0f64);
+    let op = (0u32..10, 0..OP_NODES, 0u32..3, 0u32..4, position);
+    prop::collection::vec(op, 1..200).prop_map(|raw| {
+        let mut tick = 1u64;
+        let mut last: Vec<Option<LocationUpdate>> = vec![None; OP_NODES as usize];
+        let mut ops = Vec::with_capacity(raw.len());
+        for (kind, node, back, seq, (x, y)) in raw {
+            let id = MnId::new(node);
+            let time_s = tick as f64;
+            ops.push(match kind {
+                0..=4 => {
+                    let fresh =
+                        LocationUpdate::new(id, time_s - f64::from(back), Point::new(x, y), seq);
+                    let lu = match last[node as usize] {
+                        Some(prev) if kind == 4 => prev,
+                        _ => fresh,
+                    };
+                    last[node as usize] = Some(lu);
+                    IngestRecord::Update(lu)
+                }
+                5 | 6 => IngestRecord::Filtered { node: id, time_s },
+                7 | 8 => IngestRecord::Lost { node: id, time_s },
+                _ => {
+                    tick += 1;
+                    IngestRecord::TickEnd {
+                        tick: tick - 1,
+                        time_s,
+                    }
+                }
+            });
+        }
+        ops
+    })
+}
+
+proptest! {
+    /// Every broker apply path agrees on random op streams: one op at a
+    /// time through the `GridBroker` calls, `BrokerStore::apply_batch` at
+    /// 1, 3 and 7 shards, `apply_batch_traced` (whose per-record
+    /// `ApplyInfo`s must equal the broker's), and per-op
+    /// `BrokerStore::apply` all end in the same state digest.
+    #[test]
+    fn every_broker_apply_path_agrees(ops in broker_ops()) {
+        let kind = EstimatorKind::Brown { alpha: 0.5 };
+        let mut broker = GridBroker::new(kind).expect("valid estimator");
+        let expected: Vec<_> = ops
+            .iter()
+            .map(|op| match op {
+                IngestRecord::Update(lu) => Some(broker.receive(lu)),
+                IngestRecord::Filtered { node, time_s } => {
+                    Some(broker.note_filtered(*node, *time_s))
+                }
+                IngestRecord::Lost { node, time_s } => Some(broker.note_lost(*node, *time_s)),
+                IngestRecord::TickEnd { .. } | IngestRecord::BatchSpan { .. } => None,
+            })
+            .collect();
+        let digest = broker.state_digest();
+        for shards in [1, 3, 7] {
+            let batched = BrokerStore::new(kind, OP_CAPACITY, shards).expect("valid estimator");
+            batched.apply_batch(&ops);
+            prop_assert_eq!(batched.state_digest(), digest, "apply_batch at {} shards", shards);
+
+            let traced = BrokerStore::new(kind, OP_CAPACITY, shards).expect("valid estimator");
+            let mut infos = Vec::new();
+            traced.apply_batch_traced(&ops, &mut infos);
+            prop_assert_eq!(traced.state_digest(), digest, "traced at {} shards", shards);
+            prop_assert_eq!(&infos, &expected, "traced ApplyInfo at {} shards", shards);
+
+            let per_op = BrokerStore::new(kind, OP_CAPACITY, shards).expect("valid estimator");
+            for op in &ops {
+                per_op.apply(op);
+            }
+            prop_assert_eq!(per_op.state_digest(), digest, "per-op apply at {} shards", shards);
+        }
     }
 }

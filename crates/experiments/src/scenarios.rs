@@ -15,7 +15,7 @@
 //! past the paper's scale — `metro_100k` is the benchmark workload
 //! recorded in `BENCH_tick.json`, `mega_1m` the stress ceiling.
 
-use mobigrid_adf::{MobileGridSim, MobileNode, TickDriver};
+use mobigrid_adf::MobileNode;
 use mobigrid_campus::Campus;
 
 use crate::workload;
@@ -86,47 +86,6 @@ impl Scenario {
         debug_assert_eq!(nodes.len(), self.nodes, "{} population drifted", self.name);
         nodes
     }
-
-    /// Builds a ready-to-run ADF simulation over the scenario.
-    ///
-    /// Deprecated shim over the unified [`SimConfig`](crate::simconfig::SimConfig)
-    /// front door; the replacement is
-    /// `SimConfig::scenario(name).seed(seed).threads(threads).build()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the static ADF configuration is invalid (it is not).
-    #[deprecated(since = "0.1.0", note = "use `SimConfig::scenario(..).build()` instead")]
-    #[must_use]
-    pub fn build_sim(&self, seed: u64, threads: usize) -> MobileGridSim {
-        #[allow(deprecated)]
-        self.build_sim_with(seed, threads, TickDriver::Dense)
-    }
-
-    /// Like [`Scenario::build_sim`] but with an explicit tick driver.
-    /// Both drivers compute bit-identical results; see
-    /// [`mobigrid_adf::TickDriver`].
-    ///
-    /// Deprecated shim over the unified [`SimConfig`](crate::simconfig::SimConfig)
-    /// front door; the replacement is
-    /// `SimConfig::scenario(name).seed(seed).threads(threads).driver(driver).build()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the static ADF configuration is invalid (it is not).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `SimConfig::scenario(..).driver(..).build()` instead"
-    )]
-    #[must_use]
-    pub fn build_sim_with(&self, seed: u64, threads: usize, driver: TickDriver) -> MobileGridSim {
-        crate::simconfig::SimConfig::scenario(self.name)
-            .seed(seed)
-            .threads(threads)
-            .driver(driver)
-            .build()
-            .expect("valid simulation")
-    }
 }
 
 #[cfg(test)]
@@ -158,9 +117,11 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn scenario_sims_step() {
-        let mut sim = find("campus_140").unwrap().build_sim(3, 1);
+        let mut sim = crate::simconfig::SimConfig::scenario("campus_140")
+            .seed(3)
+            .build()
+            .unwrap();
         assert_eq!(sim.step().observed, 140);
     }
 

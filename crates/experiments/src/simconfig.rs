@@ -10,9 +10,6 @@
 //! and violations reported through one [`ConfigError`] enum (with
 //! [`std::error::Error::source`] chaining into the engine's `SimError`).
 //!
-//! The old per-layer paths remain as thin deprecated shims
-//! (`Scenario::build_sim`, `Scenario::build_sim_with`) that delegate here.
-//!
 //! # Examples
 //!
 //! ```
@@ -256,20 +253,6 @@ mod tests {
     fn builds_the_default_scenario() {
         let mut sim = SimConfig::scenario("campus_140").seed(3).build().unwrap();
         assert_eq!(sim.step().observed, 140);
-    }
-
-    #[test]
-    fn matches_the_deprecated_scenario_shim() {
-        #[allow(deprecated)]
-        let mut old = scenarios::find("campus_140").unwrap().build_sim(5, 2);
-        let mut new = SimConfig::scenario("campus_140")
-            .seed(5)
-            .threads(2)
-            .build()
-            .unwrap();
-        for _ in 0..30 {
-            assert_eq!(old.step(), new.step(), "shim diverged from SimConfig");
-        }
     }
 
     #[test]

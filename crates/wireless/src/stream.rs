@@ -121,6 +121,17 @@ impl IngestRecord {
         }
     }
 
+    /// The node a broker operation addresses, or `None` for the framing
+    /// markers ([`IngestRecord::TickEnd`], [`IngestRecord::BatchSpan`]).
+    #[must_use]
+    pub const fn node(&self) -> Option<MnId> {
+        match self {
+            IngestRecord::Update(lu) => Some(lu.node),
+            IngestRecord::Filtered { node, .. } | IngestRecord::Lost { node, .. } => Some(*node),
+            IngestRecord::TickEnd { .. } | IngestRecord::BatchSpan { .. } => None,
+        }
+    }
+
     /// Appends the record's wire encoding to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
