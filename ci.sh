@@ -121,4 +121,10 @@ cargo clippy -p mobigrid-telemetry -- -D warnings -D missing-docs
 echo "==> cargo clippy -p mobigrid-adf -- -D warnings -D missing-docs"
 cargo clippy -p mobigrid-adf -- -D warnings -D missing-docs
 
+echo "==> cargo clippy -p mobigrid-pool -- -D warnings -D missing-docs -D clippy::undocumented_unsafe_blocks"
+cargo clippy -p mobigrid-pool -- -D warnings -D missing-docs -D clippy::undocumented_unsafe_blocks
+
+echo "==> unsafe gate"
+scripts/check_unsafe.sh
+
 echo "CI OK"

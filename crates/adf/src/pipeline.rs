@@ -271,6 +271,7 @@ impl SimBuilder {
         let seqs = vec![0u32; cols.len()];
         let retry = vec![RetryState::IDLE; cols.len()];
         let scratch = TickScratch::new(cols.len());
+        let shards = mobigrid_sim::par::shard_count(cols.len(), SHARD_SIZE);
         let sparse = match self.runtime.driver {
             TickDriver::Dense => None,
             TickDriver::Sparse => Some(Box::new(SparseState::new(
@@ -292,7 +293,9 @@ impl SimBuilder {
             tick: 0,
             seqs,
             cumulative: RegionTally::new(),
-            pool: ShardPool::new(self.runtime.threads),
+            // A region never uses more threads than it has shards, so a
+            // large budget on a small population starts no idle workers.
+            pool: ShardPool::for_shards(self.runtime.threads, shards),
             prev_stale: 0,
             scratch,
             monitors: MonitorSet::standard(),
@@ -743,8 +746,8 @@ struct ShardOut {
     max_eval_gap: u64,
 }
 
-impl ShardOut {
-    fn new() -> Self {
+impl Default for ShardOut {
+    fn default() -> Self {
         ShardOut {
             sent: 0,
             stale: 0,
@@ -765,7 +768,9 @@ impl ShardOut {
             max_eval_gap: 0,
         }
     }
+}
 
+impl ShardOut {
     /// Folds the next shard's tick totals into this running total (the
     /// histograms only while recording). Called in shard order, which
     /// fixes the floating-point summation order of the RMSE partials.
@@ -926,11 +931,11 @@ impl MobileGridSim {
     /// reduced in shard order, so the returned [`TickStats`] stream is
     /// bit-identical for every thread count.
     ///
-    /// Every phase works in the reusable [`TickScratch`] buffers, so in
-    /// steady state (with a single worker thread) a tick performs **zero
-    /// heap allocations** — pinned by the counting-allocator test in
-    /// `crates/bench/tests/zero_alloc.rs`. With more threads the only
-    /// allocations are the executor's transient spawn scaffolding.
+    /// Every phase works in the reusable [`TickScratch`] buffers, and the
+    /// pool's workers are started once at build time, so in steady state a
+    /// tick performs **zero heap allocations** at any thread count —
+    /// pinned by the counting-allocator test in
+    /// `crates/bench/tests/zero_alloc.rs`, at one thread and at two.
     pub fn step(&mut self) -> TickStats {
         self.step_recorded(&mut NoopRecorder)
     }
@@ -1396,7 +1401,7 @@ impl MobileGridSim {
         // Shard-ordered reduction: exact for the integer tallies, and a
         // fixed floating-point summation order for the RMSE partials.
         let gen_seq = tick as u32;
-        let mut total = ShardOut::new();
+        let mut total = ShardOut::default();
         for out in &scratch.outs {
             total.merge(out, recording);
             if recording {
@@ -1599,7 +1604,7 @@ impl MobileGridSim {
     /// (plus, when `record` is set, the per-node location-error histograms
     /// and flight samples).
     fn run_shard(time_s: f64, record: bool, mut job: ShardJob<'_>) -> ShardOut {
-        let mut out = ShardOut::new();
+        let mut out = ShardOut::default();
         for (i, (id, pos)) in job.observations.iter().enumerate() {
             let kind = job.kinds[i];
             let link = job.link[i];

@@ -1,17 +1,18 @@
 //! Proof that the steady-state tick path is allocation-free.
 //!
 //! A counting global allocator wraps [`std::alloc::System`] and tallies
-//! every `alloc`/`alloc_zeroed`/`realloc` on a thread-local counter. After
-//! warming a single-threaded 140-node ADF simulation past its one-time
-//! setup (first-contact broker registrations, classifier-window fill,
-//! initial clustering, high-water marks of the reused scratch buffers),
-//! every further [`MobileGridSim::step`] must leave the counter untouched.
+//! every `alloc`/`alloc_zeroed`/`realloc`: on a thread-local counter for
+//! the calling thread, and on one process-wide counter for the worker
+//! threads of a [`mobigrid_pool::Workers`] pool. After warming a 140-node
+//! ADF simulation past its one-time setup (first-contact broker
+//! registrations, classifier-window fill, initial clustering, high-water
+//! marks of the reused scratch buffers), every further
+//! [`MobileGridSim::step`] must leave the counters untouched — at one
+//! thread, and at two, where the pool's persistent worker runs shards
+//! beside the caller.
 //!
 //! Scope of the claim, as documented in `DESIGN.md` ("Tick memory model"):
 //!
-//! * **threads = 1** — with more worker threads the executor's transient
-//!   spawn scaffolding allocates; the simulation state itself still does
-//!   not.
 //! * **between reclusterings** — the periodic BSAS recluster rebuilds the
 //!   cluster set and legitimately allocates, so the measured window is
 //!   placed strictly between recluster ticks.
@@ -24,6 +25,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use mobigrid_adf::{AdaptiveDistanceFilter, AdfConfig, MobileGridSim, MobileNode, SimBuilder};
 use mobigrid_campus::{RegionId, RegionKind};
@@ -43,27 +45,51 @@ thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Allocations made on pool worker threads, process-wide. Only
+/// `two_thread_ticks_do_not_allocate` starts workers in this binary.
+static WORKER_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+fn count_allocation() {
+    if mobigrid_pool::is_worker_thread() {
+        WORKER_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    } else {
+        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+    }
+}
+
 fn allocation_count() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+fn worker_allocation_count() -> u64 {
+    WORKER_ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counting touches no allocator state.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        count_allocation();
+        // SAFETY: the caller upholds `alloc`'s contract, forwarded as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        count_allocation();
+        // SAFETY: the caller upholds `alloc_zeroed`'s contract, forwarded as is.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        count_allocation();
+        // SAFETY: the caller upholds `realloc`'s contract, and `ptr` came
+        // from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `dealloc`'s contract, and `ptr` came
+        // from `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -98,11 +124,11 @@ fn parked(id: u32) -> MobileNode {
     )
 }
 
-/// A 140-node single-threaded ADF simulation with an access network, like
-/// the paper's evaluation but over allocation-free synthetic mobility.
-/// The recluster interval is pushed past the measured window so the test
-/// pins the *steady state* between reclusterings.
-fn steady_state_sim() -> MobileGridSim {
+/// A 140-node ADF simulation on `threads` threads with an access network,
+/// like the paper's evaluation but over allocation-free synthetic
+/// mobility. The recluster interval is pushed past the measured window so
+/// the test pins the *steady state* between reclusterings.
+fn steady_state_sim(threads: usize) -> MobileGridSim {
     let nodes: Vec<MobileNode> = (0..140u32)
         .map(|i| {
             if i % 4 == 3 {
@@ -126,14 +152,14 @@ fn steady_state_sim() -> MobileGridSim {
         .nodes(nodes)
         .policy(AdaptiveDistanceFilter::new(adf).expect("valid config"))
         .network(network)
-        .threads(1)
+        .threads(threads)
         .build()
         .expect("valid simulation")
 }
 
 #[test]
 fn post_warmup_ticks_do_not_allocate() {
-    let mut sim = steady_state_sim();
+    let mut sim = steady_state_sim(1);
 
     // Warmup: classifier windows fill, the initial clustering runs, every
     // node makes first contact with the brokers and the network, and the
@@ -159,6 +185,33 @@ fn post_warmup_ticks_do_not_allocate() {
     assert!(sim.network().expect("attached").meter().messages() > 0);
 }
 
+/// The same steady state at two threads: the caller and the pool's one
+/// persistent worker share the shards of every parallel region, and
+/// neither side allocates — no spawn, no per-region scaffolding.
+#[test]
+fn two_thread_ticks_do_not_allocate() {
+    let mut sim = steady_state_sim(2);
+    assert_eq!(sim.threads(), 2);
+    for _ in 0..60 {
+        sim.step();
+    }
+
+    let before = (allocation_count(), worker_allocation_count());
+    let mut sent = 0u64;
+    for _ in 0..30 {
+        sent += u64::from(sim.step().sent);
+    }
+    let on_caller = allocation_count() - before.0;
+    let on_workers = worker_allocation_count() - before.1;
+
+    assert_eq!(
+        (on_caller, on_workers),
+        (0, 0),
+        "two-thread steady-state ticks allocated (caller, workers) times"
+    );
+    assert!(sent > 0, "measured window transmitted nothing");
+}
+
 /// The telemetry hooks must not cost the tick path its zero-allocation
 /// property: with the default no-op recorder explicitly installed,
 /// [`MobileGridSim::step_recorded`] is the same allocation-free loop as
@@ -166,7 +219,7 @@ fn post_warmup_ticks_do_not_allocate() {
 #[test]
 fn post_warmup_recorded_ticks_with_noop_recorder_do_not_allocate() {
     use mobigrid_telemetry::NoopRecorder;
-    let mut sim = steady_state_sim();
+    let mut sim = steady_state_sim(1);
     let mut rec = NoopRecorder;
     for _ in 0..60 {
         sim.step_recorded(&mut rec);
@@ -245,7 +298,7 @@ fn warmup_is_where_the_allocations_happen() {
     // build and warmup phase allocate, so a zero reading above is a real
     // property of the steady state, not a broken counter.
     let before = allocation_count();
-    let mut sim = steady_state_sim();
+    let mut sim = steady_state_sim(1);
     sim.step();
     assert!(
         allocation_count() > before,

@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use mobigrid_sim::par::ShardPool;
 use mobigrid_sim::stats::Welford;
 
 use crate::campaign::run_campaign;
@@ -38,13 +39,13 @@ pub struct SeedSweep {
     pub factors: Vec<FactorStats>,
 }
 
-/// Runs the campaign once per seed — campaigns on separate threads, one per
-/// seed — and aggregates the headline metrics in seed order (so the result
-/// is identical to a sequential sweep).
+/// Runs the campaign once per seed — up to `campaign_threads` campaigns at
+/// a time — and aggregates the headline metrics in seed order (so the
+/// result is identical to a sequential sweep).
 ///
 /// # Panics
 ///
-/// Panics on an empty seed list or if a worker thread panics.
+/// Panics on an empty seed list, or propagates a panic from a campaign.
 #[must_use]
 pub fn sweep_seeds(base: &ExperimentConfig, seeds: &[u64]) -> SeedSweep {
     assert!(!seeds.is_empty(), "sweep needs at least one seed");
@@ -59,24 +60,14 @@ pub fn sweep_seeds(base: &ExperimentConfig, seeds: &[u64]) -> SeedSweep {
         })
         .collect();
 
-    // Each seed's campaign is independent; fan out with scoped threads.
-    let campaigns = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = seeds
-            .iter()
-            .map(|&seed| {
-                let cfg = ExperimentConfig {
-                    seed,
-                    ..base.clone()
-                };
-                scope.spawn(move |_| run_campaign(&cfg))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("campaign worker panicked"))
-            .collect::<Vec<_>>()
-    })
-    .expect("sweep scope panicked");
+    // Each seed's campaign is independent; the pool hands the results back
+    // in seed order.
+    let campaigns = ShardPool::new(base.runtime.campaign_threads).run(seeds.to_vec(), |_, seed| {
+        run_campaign(&ExperimentConfig {
+            seed,
+            ..base.clone()
+        })
+    });
 
     for data in &campaigns {
         let ideal = data.ideal.total_sent() as f64;

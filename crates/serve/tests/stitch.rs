@@ -11,7 +11,7 @@ use mobigrid_adf::EstimatorKind;
 use mobigrid_broker_serve::{ServeConfig, Server};
 use mobigrid_experiments::simconfig::SimConfig;
 use mobigrid_experiments::trace;
-use mobigrid_telemetry::{MemoryRecorder, Recorder as _};
+use mobigrid_telemetry::MemoryRecorder;
 use mobigrid_wireless::{encode_batch, FaultPlan, IngestRecord, MnId};
 
 #[test]
